@@ -58,26 +58,22 @@ def mean_maps(captured: np.ndarray, layer_index: int = 0) -> ChannelMeanMaps:
 def similarity(maps: ChannelMeanMaps) -> SimilarityMatrix:
     """Absolute-cosine similarity between every pair of channel mean maps.
 
-    Each entry is computed once for i < j and mirrored, so the matrix is
-    symmetric exactly, not just to roundoff. A zero-norm (dead) channel is
-    defined to have similarity 0 with every other channel and 1 with itself.
+    The upper triangle of the normalized Gram matrix is mirrored onto the
+    lower one, so the matrix is symmetric exactly, not just to roundoff. A
+    zero-norm (dead) channel is defined to have similarity 0 with every
+    other channel and 1 with itself.
     """
     c = maps.channels
     if c < 2:
         raise BoundsError(f"similarity needs at least 2 channels, got {c}")
     flat = maps.maps.reshape(c, -1).astype(np.float64)
     norms = np.sqrt((flat * flat).sum(axis=1))
-    out = np.eye(c, dtype=np.float64)
-    for i in range(c):
-        if norms[i] == 0.0:
-            continue
-        for j in range(i + 1, c):
-            if norms[j] == 0.0:
-                continue
-            cos = float(flat[i] @ flat[j]) / (norms[i] * norms[j])
-            val = min(abs(cos), 1.0)
-            out[i, j] = val
-            out[j, i] = val
+    live = norms > 0.0
+    unit = np.zeros_like(flat)
+    unit[live] = flat[live] / norms[live, None]
+    upper = np.triu(np.minimum(np.abs(unit @ unit.T), 1.0), 1)
+    out = upper + upper.T
+    np.fill_diagonal(out, 1.0)
     return SimilarityMatrix(out)
 
 

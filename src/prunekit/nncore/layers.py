@@ -1,44 +1,56 @@
-"""Layer forward/backward kernels. Data layout is (N, C, H, W) throughout."""
+"""Layer forward/backward kernels. Layers take and return (N, C, H, W) arrays."""
 from __future__ import annotations
 
 import numpy as np
 
 
 def im2col(x, kh, kw, stride, padding):
-    """Unfold conv windows: (N, C, H, W) -> (N, C*kh*kw, out_h*out_w)."""
+    """Unfold conv windows of a whole batch into one GEMM operand.
+
+    (N, C, H, W) -> columns of shape (C*kh*kw, N*out_h*out_w), laid out as
+    (C, kh, kw, N, out_h, out_w): row (c, i, j) holds input channel c at
+    window offset (i, j) for every sample and output position. The columns
+    are filled from a (C, N, H, W) view of the input.
+    """
     n, c, h, w = x.shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
+    x = x.transpose(1, 0, 2, 3)
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
+    cols = np.empty((c, kh, kw, n, out_h, out_w), dtype=x.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            cols[:, :, i, j] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+            cols[:, i, j] = x[:, :, i:i_max:stride, j:j_max:stride]
+    return cols.reshape(c * kh * kw, n * out_h * out_w), out_h, out_w
 
 
 def col2im(dcols, x_shape, kh, kw, stride, padding):
-    """Scatter-add the inverse of im2col back onto the input gradient."""
+    """Adjoint of im2col: scatter-add (C*kh*kw, N*out_h*out_w) columns, laid
+    out as (C, kh, kw, N, out_h, out_w), back onto an (N, C, H, W) gradient."""
     n, c, h, w = x_shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    dcols = dcols.reshape(n, c, kh, kw, out_h, out_w)
-    dx = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
+    dcols = dcols.reshape(c, kh, kw, n, out_h, out_w)
+    dx = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            dx[:, :, i:i_max:stride, j:j_max:stride] += dcols[:, :, i, j]
+            dx[:, :, i:i_max:stride, j:j_max:stride] += dcols[:, i, j]
     if padding:
         dx = dx[:, :, padding:-padding, padding:-padding]
-    return dx
+    return dx.transpose(1, 0, 2, 3)
 
 
 class Layer:
-    """Base: parameterless, cache-free passthrough."""
+    """Base: parameterless, cache-free passthrough.
+
+    A layer's training-mode forward caches what its backward needs, and the
+    backward releases that cache once used.
+    """
 
     def params(self) -> dict:
         return {}
@@ -66,26 +78,25 @@ class Conv(Layer):
         self._cache = None
 
     def forward(self, x, train):
-        out_c, in_c, kh, kw = self.weight.shape
+        n = x.shape[0]
+        out_c, _, kh, kw = self.weight.shape
         cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
-        w2d = self.weight.reshape(out_c, -1)
-        out = np.matmul(w2d, cols)
+        out = self.weight.reshape(out_c, -1) @ cols
         if self.bias is not None:
-            out += self.bias[None, :, None]
+            out += self.bias[:, None]
         if train:
             self._cache = (x.shape, cols)
-        return out.reshape(x.shape[0], out_c, out_h, out_w)
+        return np.ascontiguousarray(out.reshape(out_c, n, out_h, out_w).transpose(1, 0, 2, 3))
 
     def backward(self, dout):
         x_shape, cols = self._cache
-        n, out_c, out_h, out_w = dout.shape
-        dflat = dout.reshape(n, out_c, out_h * out_w)
-        w2d = self.weight.reshape(out_c, -1)
-        self.d_weight = np.einsum("nop,ncp->oc", dflat, cols).reshape(self.weight.shape)
+        self._cache = None
+        out_c, _, kh, kw = self.weight.shape
+        dflat = dout.transpose(1, 0, 2, 3).reshape(out_c, -1)
+        self.d_weight = (dflat @ cols.T).reshape(self.weight.shape)
         if self.bias is not None:
-            self.d_bias = dflat.sum(axis=(0, 2))
-        dcols = np.matmul(w2d.T, dflat)
-        kh, kw = self.weight.shape[2:]
+            self.d_bias = dflat.sum(axis=1)
+        dcols = self.weight.reshape(out_c, -1).T @ dflat
         return col2im(dcols, x_shape, kh, kw, self.stride, self.padding)
 
     def params(self):
@@ -145,6 +156,7 @@ class BatchNorm(Layer):
 
     def backward(self, dout):
         xhat, inv_std = self._cache
+        self._cache = None
         m = dout.shape[0] * dout.shape[2] * dout.shape[3]
         self.d_gamma = (dout * xhat).sum(axis=(0, 2, 3))
         self.d_beta = dout.sum(axis=(0, 2, 3))
@@ -190,33 +202,60 @@ class ReLU(Layer):
         return out
 
     def backward(self, dout):
-        return dout * self._mask
+        dx = dout * self._mask
+        self._mask = None
+        return dx
 
 
 class MaxPool(Layer):
+    """Max pooling; ties go to the first element of the window in row-major
+    order."""
+
     def __init__(self, kernel, stride):
         self.kernel = kernel
         self.stride = stride
         self._cache = None
 
+    def _tiles(self, h, w):
+        """Whether the windows tile the input exactly (kernel == stride and the
+        kernel divides both sides), so pooling is a reshape."""
+        k = self.kernel
+        return self.stride == k and h % k == 0 and w % k == 0
+
     def forward(self, x, train):
         n, c, h, w = x.shape
-        flat = x.reshape(n * c, 1, h, w)
-        cols, out_h, out_w = im2col(flat, self.kernel, self.kernel, self.stride, 0)
-        arg = cols.argmax(axis=1)
-        out = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
+        k = self.kernel
+        if self._tiles(h, w):
+            win = x.reshape(n, c, h // k, k, w // k, k)
+            out = win[:, :, :, 0, :, 0].copy()
+            for i, j in np.ndindex(k, k):
+                np.maximum(out, win[:, :, :, i, :, j], out=out)
+            if train:
+                # one-hot of each window's first maximum, in the input's layout
+                first = np.empty(win.shape, dtype=bool)
+                taken = np.zeros(out.shape, dtype=bool)
+                for i, j in np.ndindex(k, k):
+                    hit = win[:, :, :, i, :, j] == out
+                    hit &= ~taken
+                    first[:, :, :, i, :, j] = hit
+                    taken |= hit
+                self._cache = (x.shape, first)
+            return out
+        cols, out_h, out_w = im2col(x.reshape(n * c, 1, h, w), k, k, self.stride, 0)
+        arg = cols.argmax(axis=0)
         if train:
-            self._cache = (x.shape, cols.shape, arg)
-        return out.reshape(n, c, out_h, out_w)
+            self._cache = (x.shape, arg)
+        return np.take_along_axis(cols, arg[None], axis=0)[0].reshape(n, c, out_h, out_w)
 
     def backward(self, dout):
-        x_shape, cols_shape, arg = self._cache
-        n, c, h, w = x_shape
-        dcols = np.zeros(cols_shape, dtype=dout.dtype)
-        dflat = dout.reshape(n * c, -1)
-        np.put_along_axis(dcols, arg[:, None, :], dflat[:, None, :], axis=1)
-        dx = col2im(dcols, (n * c, 1, h, w), self.kernel, self.kernel, self.stride, 0)
-        return dx.reshape(n, c, h, w)
+        (n, c, h, w), picked = self._cache
+        self._cache = None
+        k = self.kernel
+        if self._tiles(h, w):
+            return (picked * dout[:, :, :, None, :, None]).reshape(n, c, h, w)
+        dcols = np.zeros((k * k, picked.size), dtype=dout.dtype)
+        np.put_along_axis(dcols, picked[None], dout.reshape(1, -1), axis=0)
+        return col2im(dcols, (n * c, 1, h, w), k, k, self.stride, 0).reshape(n, c, h, w)
 
 
 class Linear(Layer):
@@ -237,6 +276,7 @@ class Linear(Layer):
 
     def backward(self, dout):
         self.d_weight = dout.T @ self._x
+        self._x = None
         if self.bias is not None:
             self.d_bias = dout.sum(axis=0)
         return dout @ self.weight

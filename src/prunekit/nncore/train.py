@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +86,8 @@ def train(net, train_images, train_labels, test_images, test_labels,
     """Train in place; returns the list of per-epoch EpochStats.
 
     One rng (seeded from config.seed) draws exactly one permutation per epoch,
-    so the batch order is a pure function of (seed, epoch, n).
+    so the batch order is a pure function of (seed, epoch, n). ``trace_path``,
+    when given, is rewritten with a CSV header and one row per epoch.
     """
     rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     n = train_images.shape[0]
@@ -97,11 +97,9 @@ def train(net, train_images, train_labels, test_images, test_labels,
     writer = None
     trace_file = None
     if trace_path is not None:
-        fresh = not os.path.exists(trace_path) or os.path.getsize(trace_path) == 0
-        trace_file = open(trace_path, "a", newline="")
+        trace_file = open(trace_path, "w", newline="")
         writer = csv.writer(trace_file)
-        if fresh:
-            writer.writerow(["epoch", "lr", "train_loss", "test_accuracy"])
+        writer.writerow(["epoch", "lr", "train_loss", "test_accuracy"])
 
     try:
         for epoch in range(config.epochs):

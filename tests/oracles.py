@@ -101,6 +101,27 @@ def abs_cosine(a, b):
     return min(abs(dot) / (na * nb), 1.0)
 
 
+def similarity_loop(maps):
+    """Absolute-cosine similarity of (c, H, W) channel maps, one pair at a
+    time: each entry computed once for i < j and mirrored; a zero-norm
+    channel scores 0 against every other channel and 1 against itself."""
+    c = maps.shape[0]
+    flat = np.asarray(maps, dtype=np.float64).reshape(c, -1)
+    norms = np.sqrt((flat * flat).sum(axis=1))
+    out = np.eye(c, dtype=np.float64)
+    for i in range(c):
+        if norms[i] == 0.0:
+            continue
+        for j in range(i + 1, c):
+            if norms[j] == 0.0:
+                continue
+            cos = float(flat[i] @ flat[j]) / (norms[i] * norms[j])
+            val = min(abs(cos), 1.0)
+            out[i, j] = val
+            out[j, i] = val
+    return out
+
+
 def conv2d_naive(x, weight, bias, stride, padding):
     """Direct convolution with quadruple loops; shapes as the package uses."""
     n, cin, h, w = x.shape
@@ -139,6 +160,52 @@ def maxpool_naive(x, kernel, stride):
                               xi * stride:xi * stride + kernel]
                     out[ni, ci, yi, xi] = patch.max()
     return out
+
+
+def conv2d_backward_naive(x, weight, dout, stride, padding):
+    """Gradients (dx, d_weight, d_bias) of conv2d_naive for an output
+    gradient ``dout``, accumulated one multiply at a time."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=float)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros(weight.shape, dtype=float)
+    db = np.zeros(cout, dtype=float)
+    _, _, oh, ow = dout.shape
+    for ni in range(n):
+        for oc in range(cout):
+            for yi in range(oh):
+                for xi in range(ow):
+                    g = dout[ni, oc, yi, xi]
+                    db[oc] += g
+                    for ic in range(cin):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                py, px = yi * stride + ky, xi * stride + kx
+                                dw[oc, ic, ky, kx] += g * xp[ni, ic, py, px]
+                                dxp[ni, ic, py, px] += g * weight[oc, ic, ky, kx]
+    return dxp[:, :, padding:padding + h, padding:padding + w], dw, db
+
+
+def maxpool_backward_naive(x, dout, kernel, stride):
+    """Route each output gradient to the first maximum of its window, in
+    row-major order; overlapping windows accumulate."""
+    n, c, _, _ = x.shape
+    _, _, oh, ow = dout.shape
+    dx = np.zeros(x.shape, dtype=float)
+    for ni in range(n):
+        for ci in range(c):
+            for yi in range(oh):
+                for xi in range(ow):
+                    best = None
+                    for ky in range(kernel):
+                        for kx in range(kernel):
+                            py, px = yi * stride + ky, xi * stride + kx
+                            if best is None or x[ni, ci, py, px] > x[ni, ci, best[0], best[1]]:
+                                best = (py, px)
+                    dx[ni, ci, best[0], best[1]] += dout[ni, ci, yi, xi]
+    return dx
 
 
 def random_distance_matrix(rng, size):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import abs_cosine, mean_over_samples
+from oracles import abs_cosine, mean_over_samples, similarity_loop
 
 from prunekit.errors import BoundsError, StructureError
 from prunekit.featstats import (
@@ -109,6 +109,16 @@ class TestSimilarity:
                     continue
                 assert sim[i, j] == pytest.approx(abs_cosine(flat[i], flat[j]), abs=1e-12)
 
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 40), st.integers(0, 3))
+    def test_matches_loop_oracle(self, seed, channels, dead):
+        rng = np.random.default_rng(seed)
+        maps = rng.normal(size=(channels, 3, 5))
+        maps[1] = -2.5 * maps[0]  # a parallel pair, |cos| at the clip
+        maps[rng.choice(channels, size=min(dead, channels), replace=False)] = 0.0
+        got = similarity(ChannelMeanMaps(0, maps)).entries
+        np.testing.assert_allclose(got, similarity_loop(maps), rtol=0, atol=1e-12)
 
 class TestDistanceMatrix:
     def test_complement_with_zero_diagonal(self):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import conv2d_naive, maxpool_naive
+from oracles import (
+    conv2d_backward_naive,
+    conv2d_naive,
+    maxpool_backward_naive,
+    maxpool_naive,
+)
 
 from prunekit import archspec
 from prunekit.archspec import LayerDef, assemble
@@ -15,7 +20,7 @@ from prunekit.nncore import (
     softmax,
     train,
 )
-from prunekit.nncore.layers import BatchNorm, Conv, MaxPool
+from prunekit.nncore.layers import BatchNorm, Conv, MaxPool, col2im, im2col
 from prunekit.nncore.model import cross_entropy
 
 
@@ -98,6 +103,77 @@ class TestForward:
         for slot in t.prunable_slots:
             assert captured[slot].shape[1] == t.layers[slot].out_channels
             assert captured[slot].min() >= 0.0  # ReLU output
+
+
+class TestKernels:
+    """The im2col/col2im pair, Conv.backward and both MaxPool paths against
+    loop oracles, in float64."""
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_im2col_layout_and_col2im_adjoint(self, stride, padding):
+        rng = np.random.default_rng(stride * 10 + padding)
+        n, c, h, w, kh, kw = 2, 3, 5, 6, 3, 2
+        x = rng.normal(size=(n, c, h, w))
+        cols, oh, ow = im2col(x, kh, kw, stride, padding)
+        assert cols.shape == (c * kh * kw, n * oh * ow)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        grid = cols.reshape(c, kh, kw, n, oh, ow)
+        for ci, i, j, ni, yi, xi in np.ndindex(grid.shape):
+            assert grid[ci, i, j, ni, yi, xi] == xp[ni, ci, yi * stride + i, xi * stride + j]
+        y = rng.normal(size=cols.shape)
+        back = col2im(y, x.shape, kh, kw, stride, padding)
+        assert back.shape == x.shape
+        assert np.sum(cols * y) == pytest.approx(np.sum(x * back), rel=1e-12)
+
+    @pytest.mark.parametrize("stride,padding,bias", [(1, 1, True), (2, 0, False), (2, 1, True)])
+    def test_conv_backward_matches_loop_oracle(self, stride, padding, bias):
+        rng = np.random.default_rng(stride + 3 * padding)
+        conv = Conv(3, 4, (3, 3), stride, padding, bias, rng, np.float64)
+        if bias:
+            conv.bias[...] = rng.normal(size=4)
+        x = rng.normal(size=(2, 3, 6, 5))
+        out = conv.forward(x, train=True)
+        np.testing.assert_allclose(out, conv2d_naive(x, conv.weight, conv.bias, stride, padding),
+                                   rtol=1e-10, atol=1e-12)
+        dout = rng.normal(size=out.shape)
+        dx = conv.backward(dout)
+        want_dx, want_dw, want_db = conv2d_backward_naive(x, conv.weight, dout, stride, padding)
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(conv.d_weight, want_dw, rtol=1e-10, atol=1e-12)
+        if bias:
+            np.testing.assert_allclose(conv.d_bias, want_db, rtol=1e-10, atol=1e-12)
+
+    # (2, 2) on even sides pools by reshape; the others take the im2col path
+    @pytest.mark.parametrize("kernel,stride,h,w", [(2, 2, 4, 6), (3, 2, 5, 7), (2, 2, 5, 5)])
+    def test_maxpool_matches_loop_oracle_with_ties(self, kernel, stride, h, w):
+        rng = np.random.default_rng(kernel * 100 + h)
+        # values from {0, 1, 2} make most windows hold tied maxima
+        x = rng.integers(0, 3, size=(2, 3, h, w)).astype(np.float64)
+        pool = MaxPool(kernel, stride)
+        out = pool.forward(x, train=True)
+        np.testing.assert_array_equal(out, maxpool_naive(x, kernel, stride))
+        dout = rng.normal(size=out.shape)
+        np.testing.assert_allclose(pool.backward(dout),
+                                   maxpool_backward_naive(x, dout, kernel, stride),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel,stride,side", [(2, 2, 4), (3, 2, 5)])
+    def test_maxpool_tie_goes_to_first_window_element(self, kernel, stride, side):
+        x = np.ones((1, 1, side, side))
+        pool = MaxPool(kernel, stride)
+        out = pool.forward(x, train=True)
+        dx = pool.backward(np.ones_like(out))
+        want = np.zeros_like(x)
+        want[0, 0, ::stride, ::stride][:out.shape[2], :out.shape[3]] = 1.0
+        np.testing.assert_array_equal(dx, want)
+
+    def test_no_forward_cache_survives_backward(self):
+        net = Network(small_conv_template(), seed=0)  # one layer of every kind
+        x = np.random.default_rng(0).normal(size=(4, 1, 4, 4)).astype(np.float32)
+        net.loss_and_grads(x, np.array([0, 1, 2, 0]))
+        for idx, layer in enumerate(net.layers):
+            for attr in ("_cache", "_mask", "_x"):
+                assert getattr(layer, attr, None) is None, (idx, attr)
 
 
 class TestSoftmaxAndLoss:
@@ -233,13 +309,14 @@ class TestTrain:
 
     def test_trace_csv_has_header_and_rows(self, tmp_path):
         images, labels = separable_toy_set(n=64)
-        net = Network(toy_template(), seed=2)
         path = tmp_path / "trace.csv"
         cfg = TrainConfig(epochs=3, batch_size=32, seed=0)
-        train(net, images, labels, images, labels, cfg, trace_path=str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,lr,train_loss,test_accuracy"
-        assert len(lines) == 4
+        for _ in range(2):  # a rerun into the same path replaces the trace
+            net = Network(toy_template(), seed=2)
+            train(net, images, labels, images, labels, cfg, trace_path=str(path))
+            lines = path.read_text().strip().splitlines()
+            assert lines[0] == "epoch,lr,train_loss,test_accuracy"
+            assert len(lines) == 4
 
 
 class TestGradientCheck:

@@ -198,6 +198,27 @@ class TestDeskRun:
         assert len(norm["std"]) == 3
 
 
+class TestRerun:
+    def test_rerun_keeps_one_trace_row_per_epoch(self, tmp_path):
+        import dataclasses
+        config = dataclasses.replace(
+            desk_experiment_config(tmp_path), baseline_epochs=2,
+            swarm=SwarmConfig(particles=2, iterations=1, proxy_epochs=1))
+        run_dir = config.run_dir()
+        # a baseline that died after one epoch left a partial trace behind
+        os.makedirs(run_dir)
+        with open(os.path.join(run_dir, "baseline_trace.csv"), "w") as fh:
+            fh.write("epoch,lr,train_loss,test_accuracy\n0,0.1,1.0,0.5\n")
+        for _ in range(2):
+            report = pipeline.run(config)
+        for name, epochs in (("baseline_trace.csv", config.baseline_epochs),
+                             ("final_trace.csv", report.retrain_epochs)):
+            with open(os.path.join(run_dir, name)) as fh:
+                lines = fh.read().splitlines()
+            assert lines[0] == "epoch,lr,train_loss,test_accuracy", name
+            assert [line.split(",")[0] for line in lines[1:]] == \
+                [str(e) for e in range(epochs)], name
+
 class TestFailureRecording:
     def test_input_shape_mismatch_rejected_up_front(self, tmp_path):
         import dataclasses
