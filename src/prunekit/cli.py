@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Each subcommand runs the pipeline through one stage; ``run`` executes all
-five. Completed stages found in the run directory are reused when --resume
-is given (the baseline checkpoint is reused regardless, since it dominates
-cost and is pinned by the config hash in the directory name).
+five, and ``report`` only renders the report of a finished run. Completed
+stages found in the run directory are reused when --resume is given (the
+baseline checkpoint is reused regardless, since it dominates cost and is
+pinned by the config hash in the directory name).
 """
 from __future__ import annotations
 
@@ -94,11 +95,11 @@ def main(argv=None) -> int:
         run_dir = config.run_dir()
         if args.command == "report":
             report_path = os.path.join(run_dir, "report.json")
-            if os.path.exists(report_path):
-                report = RunReport.load(report_path)
-            else:
-                report = pipeline.run(config, resume=True)
-            print(render_table(report))
+            if not os.path.exists(report_path):
+                raise PruneKitError(
+                    f"no report.json in run directory {run_dir}; "
+                    f"create it with `prunekit run` and the same config and flags")
+            print(render_table(RunReport.load(report_path)))
             return 0
         result = pipeline.run(config, resume=args.resume,
                               through=_STAGE_OF[args.command])

@@ -1,4 +1,12 @@
-"""Layer forward/backward kernels. Layers take and return (N, C, H, W) arrays."""
+"""Layer forward/backward kernels.
+
+Layers take and return (N, C, H, W) arrays. Between layers each activation
+and gradient is held batch-innermost: a C-contiguous (C, H, W, N) buffer,
+passed on as its (N, C, H, W) view ``buf.transpose(3, 0, 1, 2)``. A layer
+works on ``x.transpose(1, 2, 3, 0)``, which is free for such a view, so
+every window copy and per-channel reduction moves runs of whole batches. A
+C-contiguous (N, C, H, W) input gives the same values at the cost of a copy.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -7,42 +15,44 @@ import numpy as np
 def im2col(x, kh, kw, stride, padding):
     """Unfold conv windows of a whole batch into one GEMM operand.
 
-    (N, C, H, W) -> columns of shape (C*kh*kw, N*out_h*out_w), laid out as
-    (C, kh, kw, N, out_h, out_w): row (c, i, j) holds input channel c at
-    window offset (i, j) for every sample and output position. The columns
-    are filled from a (C, N, H, W) view of the input.
+    (N, C, H, W) -> columns of shape (C*kh*kw, out_h*out_w*N), laid out as
+    (C, kh, kw, out_h, out_w, N): row (c, i, j) holds input channel c at
+    window offset (i, j) for every output position and sample.
     """
     n, c, h, w = x.shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    x = x.transpose(1, 0, 2, 3)
+    x = x.transpose(1, 2, 3, 0)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((c, kh, kw, n, out_h, out_w), dtype=x.dtype)
+        padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=x.dtype)
+        padded[:, padding:padding + h, padding:padding + w] = x
+        x = padded
+    cols = np.empty((c, kh, kw, out_h, out_w, n), dtype=x.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            cols[:, i, j] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.reshape(c * kh * kw, n * out_h * out_w), out_h, out_w
+            cols[:, i, j] = x[:, i:i_max:stride, j:j_max:stride]
+    return cols.reshape(c * kh * kw, out_h * out_w * n), out_h, out_w
 
 
 def col2im(dcols, x_shape, kh, kw, stride, padding):
-    """Adjoint of im2col: scatter-add (C*kh*kw, N*out_h*out_w) columns, laid
-    out as (C, kh, kw, N, out_h, out_w), back onto an (N, C, H, W) gradient."""
+    """Adjoint of im2col: scatter-add (C*kh*kw, out_h*out_w*N) columns, laid
+    out as (C, kh, kw, out_h, out_w, N), back onto an (N, C, H, W) gradient
+    held batch-innermost."""
     n, c, h, w = x_shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    dcols = dcols.reshape(c, kh, kw, n, out_h, out_w)
-    dx = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
+    dcols = dcols.reshape(c, kh, kw, out_h, out_w, n)
+    dx = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=dcols.dtype)
     for i in range(kh):
         i_max = i + stride * out_h
         for j in range(kw):
             j_max = j + stride * out_w
-            dx[:, :, i:i_max:stride, j:j_max:stride] += dcols[:, i, j]
+            dx[:, i:i_max:stride, j:j_max:stride] += dcols[:, i, j]
     if padding:
-        dx = dx[:, :, padding:-padding, padding:-padding]
-    return dx.transpose(1, 0, 2, 3)
+        dx = dx[:, padding:-padding, padding:-padding]
+    return dx.transpose(3, 0, 1, 2)
 
 
 class Layer:
@@ -86,13 +96,13 @@ class Conv(Layer):
             out += self.bias[:, None]
         if train:
             self._cache = (x.shape, cols)
-        return np.ascontiguousarray(out.reshape(out_c, n, out_h, out_w).transpose(1, 0, 2, 3))
+        return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
     def backward(self, dout):
         x_shape, cols = self._cache
         self._cache = None
         out_c, _, kh, kw = self.weight.shape
-        dflat = dout.transpose(1, 0, 2, 3).reshape(out_c, -1)
+        dflat = dout.transpose(1, 2, 3, 0).reshape(out_c, -1)
         self.d_weight = (dflat @ cols.T).reshape(self.weight.shape)
         if self.bias is not None:
             self.d_bias = dflat.sum(axis=1)
@@ -137,9 +147,15 @@ class BatchNorm(Layer):
     def forward(self, x, train, update_stats=None):
         if update_stats is None:
             update_stats = train
+        n, c, h, w = x.shape
+        rows = x.transpose(1, 2, 3, 0).reshape(c, -1)
         if train:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            # two-pass statistics, the mean corrected by the mean residual
+            mean = rows.mean(axis=1)
+            resid = rows - mean[:, None]
+            corr = resid.mean(axis=1)
+            mean += corr
+            var = np.square(resid, out=resid).mean(axis=1) - corr * corr
             if update_stats:
                 m = self.MOMENTUM
                 self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(x.dtype)
@@ -148,26 +164,29 @@ class BatchNorm(Layer):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+        xhat = rows - mean[:, None]
+        xhat *= inv_std[:, None]
+        out = xhat * self.gamma[:, None]
+        out += self.beta[:, None]
         if train:
             self._cache = (xhat, inv_std)
-        return out
+        return out.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
     def backward(self, dout):
         xhat, inv_std = self._cache
         self._cache = None
-        m = dout.shape[0] * dout.shape[2] * dout.shape[3]
-        self.d_gamma = (dout * xhat).sum(axis=(0, 2, 3))
-        self.d_beta = dout.sum(axis=(0, 2, 3))
-        dxhat = dout * self.gamma[None, :, None, None]
-        # Standard batch-stat backprop, vectorized per channel.
-        term = (
-            dxhat
-            - dxhat.mean(axis=(0, 2, 3))[None, :, None, None]
-            - xhat * (dxhat * xhat).mean(axis=(0, 2, 3))[None, :, None, None]
-        )
-        return term * inv_std[None, :, None, None]
+        n, c, h, w = dout.shape
+        rows = dout.transpose(1, 2, 3, 0).reshape(c, -1)
+        m = rows.shape[1]
+        self.d_gamma = (rows * xhat).sum(axis=1)
+        self.d_beta = rows.sum(axis=1)
+        # batch-stat backprop per channel row:
+        # gamma * inv_std * (dout - mean(dout) - xhat * mean(dout * xhat))
+        dx = xhat * (self.d_gamma / m)[:, None]
+        np.subtract(rows, dx, out=dx)
+        dx -= (self.d_beta / m)[:, None]
+        dx *= (self.gamma * inv_std)[:, None]
+        return dx.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -226,36 +245,41 @@ class MaxPool(Layer):
         n, c, h, w = x.shape
         k = self.kernel
         if self._tiles(h, w):
-            win = x.reshape(n, c, h // k, k, w // k, k)
-            out = win[:, :, :, 0, :, 0].copy()
+            win = x.transpose(1, 2, 3, 0).reshape(c, h // k, k, w // k, k, n)
+            out = win[:, :, 0, :, 0].copy()
             for i, j in np.ndindex(k, k):
-                np.maximum(out, win[:, :, :, i, :, j], out=out)
+                np.maximum(out, win[:, :, i, :, j], out=out)
             if train:
                 # one-hot of each window's first maximum, in the input's layout
                 first = np.empty(win.shape, dtype=bool)
                 taken = np.zeros(out.shape, dtype=bool)
                 for i, j in np.ndindex(k, k):
-                    hit = win[:, :, :, i, :, j] == out
+                    hit = win[:, :, i, :, j] == out
                     hit &= ~taken
-                    first[:, :, :, i, :, j] = hit
+                    first[:, :, i, :, j] = hit
                     taken |= hit
                 self._cache = (x.shape, first)
-            return out
-        cols, out_h, out_w = im2col(x.reshape(n * c, 1, h, w), k, k, self.stride, 0)
-        arg = cols.argmax(axis=0)
+            return out.transpose(3, 0, 1, 2)
+        cols, out_h, out_w = im2col(x, k, k, self.stride, 0)
+        cols = cols.reshape(c, k * k, -1)
+        arg = cols.argmax(axis=1)[:, None]
         if train:
             self._cache = (x.shape, arg)
-        return np.take_along_axis(cols, arg[None], axis=0)[0].reshape(n, c, out_h, out_w)
+        out = np.take_along_axis(cols, arg, axis=1)
+        return out.reshape(c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
     def backward(self, dout):
-        (n, c, h, w), picked = self._cache
+        x_shape, picked = self._cache
         self._cache = None
+        n, c, h, w = x_shape
         k = self.kernel
+        dt = dout.transpose(1, 2, 3, 0)
         if self._tiles(h, w):
-            return (picked * dout[:, :, :, None, :, None]).reshape(n, c, h, w)
-        dcols = np.zeros((k * k, picked.size), dtype=dout.dtype)
-        np.put_along_axis(dcols, picked[None], dout.reshape(1, -1), axis=0)
-        return col2im(dcols, (n * c, 1, h, w), k, k, self.stride, 0).reshape(n, c, h, w)
+            dx = picked * dt[:, :, None, :, None]
+            return dx.reshape(c, h, w, n).transpose(3, 0, 1, 2)
+        dcols = np.zeros((c, k * k, picked.shape[2]), dtype=dout.dtype)
+        np.put_along_axis(dcols, picked, dt.reshape(c, 1, -1), axis=1)
+        return col2im(dcols, x_shape, k, k, self.stride, 0)
 
 
 class Linear(Layer):
@@ -266,8 +290,16 @@ class Linear(Layer):
         self.d_bias = None
         self._x = None
 
+    @staticmethod
+    def _flat(x):
+        """(N, F) view of the input; a 4-D input flattens in (C, H, W) feature
+        order, for free when it is held batch-innermost."""
+        if x.ndim == 2:
+            return x
+        return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(-1, x.shape[0]).T
+
     def forward(self, x, train):
-        out = x @ self.weight.T
+        out = self._flat(x) @ self.weight.T
         if self.bias is not None:
             out += self.bias
         if train:
@@ -275,11 +307,15 @@ class Linear(Layer):
         return out
 
     def backward(self, dout):
-        self.d_weight = dout.T @ self._x
+        x = self._x
         self._x = None
+        self.d_weight = dout.T @ self._flat(x)
         if self.bias is not None:
             self.d_bias = dout.sum(axis=0)
-        return dout @ self.weight
+        if x.ndim == 2:
+            return dout @ self.weight
+        n, c, h, w = x.shape
+        return (self.weight.T @ dout.T).reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
     def params(self):
         p = {"weight": self.weight}

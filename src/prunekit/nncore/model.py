@@ -75,7 +75,6 @@ class Network:
             else:  # pragma: no cover
                 raise StructureError(f"layer {idx}: unsupported kind {spec.kind!r}")
         self._capture_points = self._locate_capture_points()
-        self._flat_shape = None
 
     def _locate_capture_points(self) -> dict[int, int]:
         """Map prunable slot -> index of its post-activation output layer.
@@ -104,13 +103,11 @@ class Network:
     def forward(self, x, train=False, capture=False, update_stats=None):
         """Run the network. With ``capture`` also returns {slot: feature map}."""
         self._check_input(x)
-        x = np.ascontiguousarray(x, dtype=self.dtype)
+        # held batch-innermost from here on; see nncore.layers
+        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0), dtype=self.dtype).transpose(3, 0, 1, 2)
         captured = {}
         capture_at = {v: k for k, v in self._capture_points.items()} if capture else {}
         for idx, layer in enumerate(self.layers):
-            if isinstance(layer, L.Linear) and x.ndim == 4:
-                self._flat_shape = x.shape
-                x = x.reshape(x.shape[0], -1)
             if isinstance(layer, L.BatchNorm):
                 x = layer.forward(x, train, update_stats)
             else:
@@ -125,8 +122,6 @@ class Network:
         d = dlogits
         for layer in reversed(self.layers):
             d = layer.backward(d)
-            if isinstance(layer, L.Linear) and self._flat_shape is not None and d.ndim == 2:
-                d = d.reshape(self._flat_shape)
         return d
 
     def loss_and_grads(self, x, labels, loss="xent", train=True, update_stats=None):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -139,7 +139,32 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+_TOP_LEVEL_KEYS = ("template", "sample_count", "epsilon", "min_pts", "baseline_epochs",
+                   "seed", "dump_similarity", "out", "out_dir", "neighborhood",
+                   "dataset", "swarm", "trainer")
+
+
+def _mapping(value, where: str, known) -> dict:
+    """``value`` as a dict whose keys are all in ``known``; ``where`` names it
+    in the error, which lists every unknown key."""
+    if not isinstance(value, dict):
+        raise PruneKitError(f"config {where} must be a mapping, got {type(value).__name__}")
+    unknown = sorted(str(k) for k in value if k not in known)
+    if unknown:
+        prefix = "" if where == "file" else f"{where}."
+        raise PruneKitError(
+            f"unknown config key {', '.join(prefix + k for k in unknown)} "
+            f"(known: {', '.join(prefix + k for k in known)})")
+    return value
+
+
+def _section(raw: dict, name: str, cls):
+    return _mapping(raw[name], name, [f.name for f in fields(cls)])
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig; an unknown key at any level is an error."""
+    raw = _mapping(raw, "file", _TOP_LEVEL_KEYS)
     kwargs = {}
     for key in ("template", "sample_count", "epsilon", "min_pts",
                 "baseline_epochs", "seed", "dump_similarity"):
@@ -150,17 +175,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "out_dir" in raw:
         kwargs["out_dir"] = raw["out_dir"]
     if "neighborhood" in raw:
-        nb = raw["neighborhood"]
+        nb = _mapping(raw["neighborhood"], "neighborhood", ("epsilon", "min_pts"))
         if "epsilon" in nb:
             kwargs["epsilon"] = nb["epsilon"]
         if "min_pts" in nb:
             kwargs["min_pts"] = nb["min_pts"]
     if "dataset" in raw:
-        kwargs["dataset"] = DatasetConfig(**raw["dataset"])
+        kwargs["dataset"] = DatasetConfig(**_section(raw, "dataset", DatasetConfig))
     if "swarm" in raw:
-        kwargs["swarm"] = swarm.SwarmConfig(**raw["swarm"])
+        kwargs["swarm"] = swarm.SwarmConfig(**_section(raw, "swarm", swarm.SwarmConfig))
     if "trainer" in raw:
-        tr = dict(raw["trainer"])
+        tr = dict(_section(raw, "trainer", TrainerConfig))
         if "lr_drops" in tr:
             tr["lr_drops"] = tuple(tuple(d) for d in tr["lr_drops"])
         kwargs["trainer"] = TrainerConfig(**tr)

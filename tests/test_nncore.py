@@ -20,7 +20,7 @@ from prunekit.nncore import (
     softmax,
     train,
 )
-from prunekit.nncore.layers import BatchNorm, Conv, MaxPool, col2im, im2col
+from prunekit.nncore.layers import BatchNorm, Conv, Linear, MaxPool, ReLU, col2im, im2col
 from prunekit.nncore.model import cross_entropy
 
 
@@ -115,11 +115,11 @@ class TestKernels:
         n, c, h, w, kh, kw = 2, 3, 5, 6, 3, 2
         x = rng.normal(size=(n, c, h, w))
         cols, oh, ow = im2col(x, kh, kw, stride, padding)
-        assert cols.shape == (c * kh * kw, n * oh * ow)
+        assert cols.shape == (c * kh * kw, oh * ow * n)
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        grid = cols.reshape(c, kh, kw, n, oh, ow)
-        for ci, i, j, ni, yi, xi in np.ndindex(grid.shape):
-            assert grid[ci, i, j, ni, yi, xi] == xp[ni, ci, yi * stride + i, xi * stride + j]
+        grid = cols.reshape(c, kh, kw, oh, ow, n)
+        for ci, i, j, yi, xi, ni in np.ndindex(grid.shape):
+            assert grid[ci, i, j, yi, xi, ni] == xp[ni, ci, yi * stride + i, xi * stride + j]
         y = rng.normal(size=cols.shape)
         back = col2im(y, x.shape, kh, kw, stride, padding)
         assert back.shape == x.shape
@@ -174,6 +174,113 @@ class TestKernels:
         for idx, layer in enumerate(net.layers):
             for attr in ("_cache", "_mask", "_x"):
                 assert getattr(layer, attr, None) is None, (idx, attr)
+
+
+def batch_innermost(a):
+    """The values of an (N, C, H, W) array, held as a (C, H, W, N) buffer."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def make_conv(stride, padding):
+    conv = Conv(3, 4, (3, 3), stride, padding, True, np.random.default_rng(1), np.float32)
+    conv.bias[...] = np.random.default_rng(2).normal(size=4)
+    return conv
+
+
+def make_eval_batchnorm():
+    bn = BatchNorm(3, np.float32)
+    rng = np.random.default_rng(3)
+    bn.running_mean[...] = rng.normal(size=3)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, size=3)
+    bn.gamma[...] = rng.normal(size=3)
+    return bn
+
+
+LAYOUT_CASES = {
+    "conv-s1-p0": (lambda: make_conv(1, 0), (2, 3, 6, 5)),
+    "conv-s1-p1": (lambda: make_conv(1, 1), (2, 3, 6, 5)),
+    "conv-s2-p0": (lambda: make_conv(2, 0), (2, 3, 6, 5)),
+    "conv-s2-p1": (lambda: make_conv(2, 1), (2, 3, 6, 5)),
+    "batchnorm": (lambda: BatchNorm(3, np.float32), (4, 3, 5, 6)),
+    "relu": (ReLU, (2, 3, 4, 5)),
+    "maxpool-reshape": (lambda: MaxPool(2, 2), (2, 3, 4, 6)),
+    "maxpool-im2col": (lambda: MaxPool(3, 2), (2, 3, 5, 7)),
+    "linear-4d": (lambda: Linear(3 * 4 * 5, 6, True, np.random.default_rng(4), np.float32),
+                  (2, 3, 4, 5)),
+}
+
+
+class TestBatchInnermostLayout:
+    """Every layer gives identical results for a C-contiguous (N, C, H, W)
+    input and for a batch-innermost view of the same values, and inside a
+    network each activation stays batch-innermost."""
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_training_pass_independent_of_input_layout(self, case):
+        make, shape = LAYOUT_CASES[case]
+        rng = np.random.default_rng(5)
+        # integer values make MaxPool windows hold tied maxima
+        x = rng.integers(-3, 4, size=shape).astype(np.float32)
+        runs = []
+        for layout in (np.ascontiguousarray, batch_innermost):
+            layer = make()
+            out = layer.forward(layout(x), train=True)
+            dout = np.random.default_rng(6).normal(size=out.shape).astype(np.float32)
+            if dout.ndim == 4:
+                dout = layout(dout)
+            dx = layer.backward(dout)
+            runs.append((out, dx, layer.grads()))
+        (out_a, dx_a, grads_a), (out_b, dx_b, grads_b) = runs
+        assert np.array_equal(out_a, out_b)
+        assert dx_a.shape == shape
+        assert np.array_equal(dx_a, dx_b)
+        assert grads_a.keys() == grads_b.keys()
+        for name in grads_a:
+            assert np.array_equal(grads_a[name], grads_b[name]), name
+
+    def test_eval_batchnorm_independent_of_input_layout(self):
+        x = np.random.default_rng(7).normal(size=(4, 3, 5, 6)).astype(np.float32)
+        out_a = make_eval_batchnorm().forward(x, train=False)
+        out_b = make_eval_batchnorm().forward(batch_innermost(x), train=False)
+        assert np.array_equal(out_a, out_b)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_tiny4_activations_stay_batch_innermost(self, train, monkeypatch):
+        net = Network(archspec.tiny4(num_classes=4), seed=0)
+        outputs = []
+        for layer in net.layers:
+            def recorded(*args, _forward=layer.forward, _layer=layer, **kwargs):
+                out = _forward(*args, **kwargs)
+                outputs.append((_layer, out))
+                return out
+            monkeypatch.setattr(layer, "forward", recorded)
+        x = np.random.default_rng(8).normal(size=(4, 3, 16, 16)).astype(np.float32)
+        net.forward(x, train=train)
+        checked = 0
+        for layer, out in outputs:
+            if isinstance(layer, (Conv, BatchNorm, ReLU, MaxPool)):
+                assert out.transpose(1, 2, 3, 0).flags.c_contiguous, type(layer).__name__
+                checked += 1
+        assert checked == 16
+
+    def test_fc_before_head_backpropagates(self):
+        # conv-relu-fc-relu-head: the fc layer takes the 4-D conv output and
+        # the head a 2-D one, and backward restores each input's shape
+        t = assemble("fc-net", (2, 4, 4), 3, [
+            LayerDef("conv", out_channels=3, kernel=3, padding=1),
+            LayerDef("activation"),
+            LayerDef("fc", out_channels=5),
+            LayerDef("activation"),
+            LayerDef("classifier-head"),
+        ])
+        net = Network(t, seed=0).astype(np.float64)
+        x = np.random.default_rng(9).normal(size=(4, 2, 4, 4))
+        y = np.array([0, 1, 2, 0])
+        assert np.isfinite(net.loss_and_grads(x, y))
+        assert sorted(net.params()) == [
+            "layer00.bias", "layer00.weight", "layer02.bias", "layer02.weight",
+            "layer04.bias", "layer04.weight"]
+        assert gradient_check(net, x, y) < 1e-4
 
 
 class TestSoftmaxAndLoss:

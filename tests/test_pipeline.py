@@ -7,7 +7,7 @@ import pytest
 from conftest import desk_experiment_config
 
 from prunekit import archspec, pipeline
-from prunekit.errors import BoundsError
+from prunekit.errors import BoundsError, PruneKitError
 from prunekit.report import TABLE_COLUMNS, RunReport, render_table
 from prunekit.swarm import SwarmConfig
 
@@ -124,6 +124,21 @@ trainer:
         assert cfg.template == "tiny4"
         assert cfg.swarm.particles == 20
         assert cfg.trainer.momentum == 0.9
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"epsilom": 0.1}, "epsilom"),
+        ({"swarm": {"particle": 3}}, "swarm.particle"),
+        ({"dataset": {"classes": 3}}, "dataset.classes"),
+        ({"trainer": {"lr": 0.1}}, "trainer.lr"),
+        ({"neighborhood": {"eps": 0.1}}, "neighborhood.eps"),
+    ])
+    def test_unknown_key_named(self, raw, key):
+        with pytest.raises(PruneKitError, match=rf"unknown config key {key} "):
+            pipeline.config_from_dict(raw)
+
+    def test_section_must_be_mapping(self):
+        with pytest.raises(PruneKitError, match="config swarm must be a mapping"):
+            pipeline.config_from_dict({"swarm": 3})
 
 
 class TestDeskRun:
