@@ -146,7 +146,7 @@ def coarse_prune(template: archspec.ArchTemplate, net, sample_images: np.ndarray
         batch = sample_images[start:start + batch_size]
         _, captured = net.forward(batch, train=False, capture=True)
         for slot in slots:
-            acc = captured[slot].astype(np.float64).sum(axis=0)
+            acc = captured[slot].sum(axis=0, dtype=np.float64)
             if slot in sums:
                 sums[slot] += acc
             else:

@@ -12,28 +12,45 @@ from __future__ import annotations
 import numpy as np
 
 
-def im2col(x, kh, kw, stride, padding):
+def _pad(x, padding):
+    """A batch-innermost (C, H, W, N) array with ``padding`` zero cells added
+    on each spatial side."""
+    c, h, w, n = x.shape
+    padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=x.dtype)
+    padded[:, padding:padding + h, padding:padding + w] = x
+    return padded
+
+
+def im2col(x, kh, kw, stride, padding, rows=None, out=None):
     """Unfold conv windows of a whole batch into one GEMM operand.
 
     (N, C, H, W) -> columns of shape (C*kh*kw, out_h*out_w*N), laid out as
     (C, kh, kw, out_h, out_w, N): row (c, i, j) holds input channel c at
     window offset (i, j) for every output position and sample.
+
+    ``rows=(r0, r1)`` unfolds only output rows r0 <= y < r1, giving
+    (C*kh*kw, (r1-r0)*out_w*N) columns. ``out``, a 1-D buffer of at least
+    that many elements, receives them in place of a fresh array.
     """
     n, c, h, w = x.shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
+    r0, r1 = (0, out_h) if rows is None else rows
     x = x.transpose(1, 2, 3, 0)
     if padding:
-        padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=x.dtype)
-        padded[:, padding:padding + h, padding:padding + w] = x
-        x = padded
-    cols = np.empty((c, kh, kw, out_h, out_w, n), dtype=x.dtype)
+        x = _pad(x, padding)
+    shape = (c, kh, kw, r1 - r0, out_w, n)
+    if out is None:
+        cols = np.empty(shape, dtype=x.dtype)
+    else:
+        cols = out[:np.prod(shape)].reshape(shape)
     for i in range(kh):
-        i_max = i + stride * out_h
+        i_min = i + stride * r0
+        i_max = i + stride * r1
         for j in range(kw):
             j_max = j + stride * out_w
-            cols[:, i, j] = x[:, i:i_max:stride, j:j_max:stride]
-    return cols.reshape(c * kh * kw, out_h * out_w * n), out_h, out_w
+            cols[:, i, j] = x[:, i_min:i_max:stride, j:j_max:stride]
+    return cols.reshape(c * kh * kw, -1), out_h, out_w
 
 
 def col2im(dcols, x_shape, kh, kw, stride, padding):
@@ -59,7 +76,9 @@ class Layer:
     """Base: parameterless, cache-free passthrough.
 
     A layer's training-mode forward caches what its backward needs, and the
-    backward releases that cache once used.
+    backward releases that cache once used. ``backward(dout, input_grad)``
+    sets the parameter gradients and returns the input gradient, or None
+    when ``input_grad`` is false.
     """
 
     def params(self) -> dict:
@@ -76,6 +95,16 @@ class Layer:
 
 
 class Conv(Layer):
+    """2-D convolution as im2col + GEMM. An eval-mode forward unfolds the
+    input a band of output rows at a time, each band's columns taking at most
+    BAND_BYTES (or one row, if that is larger)."""
+
+    # The vgg16 capture forward runs as fast with 512 KiB as with 8 MiB. A
+    # budget under 7 MB would also split tiny4's batch-256 evaluation, and
+    # without that one large buffer glibc's dynamic mmap threshold stays low:
+    # the training steps that follow then take ~2000 fresh-page faults each.
+    BAND_BYTES = 1 << 23
+
     def __init__(self, in_channels, out_channels, kernel, stride, padding, bias, rng, dtype):
         kh, kw = kernel
         fan_in = in_channels * kh * kw
@@ -90,15 +119,41 @@ class Conv(Layer):
     def forward(self, x, train):
         n = x.shape[0]
         out_c, _, kh, kw = self.weight.shape
-        cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
-        out = self.weight.reshape(out_c, -1) @ cols
+        w2d = self.weight.reshape(out_c, -1)
+        if train:
+            # backward needs the whole batch's columns
+            cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
+            out = w2d @ cols
+            self._cache = (x.shape, cols)
+        else:
+            out, out_h, out_w = self._forward_bands(x, w2d)
         if self.bias is not None:
             out += self.bias[:, None]
-        if train:
-            self._cache = (x.shape, cols)
         return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
-    def backward(self, dout):
+    def _forward_bands(self, x, w2d):
+        """Eval-mode ``w2d @ im2col(x)`` a band of output rows at a time: each
+        band's columns go into one block reused across bands, and each GEMM
+        writes its band of the (O, out_h*out_w*N) output in place."""
+        n, _, h, w = x.shape
+        kh, kw = self.weight.shape[2:]
+        p = self.padding
+        out_h = (h + 2 * p - kh) // self.stride + 1
+        out_w = (w + 2 * p - kw) // self.stride + 1
+        if p:
+            x = _pad(x.transpose(1, 2, 3, 0), p).transpose(3, 0, 1, 2)
+        per_row = out_w * n               # output columns per output row
+        row = w2d.shape[1] * per_row      # column elements per output row
+        band = max(1, min(out_h, self.BAND_BYTES // (row * x.itemsize)))
+        block = np.empty(band * row, dtype=x.dtype)
+        out = np.empty((w2d.shape[0], out_h * per_row), dtype=np.result_type(w2d, x))
+        for r0 in range(0, out_h, band):
+            r1 = min(r0 + band, out_h)
+            cols, _, _ = im2col(x, kh, kw, self.stride, 0, rows=(r0, r1), out=block)
+            np.matmul(w2d, cols, out=out[:, r0 * per_row:r1 * per_row])
+        return out, out_h, out_w
+
+    def backward(self, dout, input_grad=True):
         x_shape, cols = self._cache
         self._cache = None
         out_c, _, kh, kw = self.weight.shape
@@ -106,7 +161,10 @@ class Conv(Layer):
         self.d_weight = (dflat @ cols.T).reshape(self.weight.shape)
         if self.bias is not None:
             self.d_bias = dflat.sum(axis=1)
-        dcols = self.weight.reshape(out_c, -1).T @ dflat
+        if not input_grad:
+            return None
+        # the weight gradient was the columns' last use
+        dcols = np.matmul(self.weight.reshape(out_c, -1).T, dflat, out=cols)
         return col2im(dcols, x_shape, kh, kw, self.stride, self.padding)
 
     def params(self):
@@ -149,10 +207,12 @@ class BatchNorm(Layer):
             update_stats = train
         n, c, h, w = x.shape
         rows = x.transpose(1, 2, 3, 0).reshape(c, -1)
+        out = np.empty(rows.shape, dtype=rows.dtype)
         if train:
-            # two-pass statistics, the mean corrected by the mean residual
+            # two-pass statistics, the mean corrected by the mean residual;
+            # the residual is scratch, held in the output buffer
             mean = rows.mean(axis=1)
-            resid = rows - mean[:, None]
+            resid = np.subtract(rows, mean[:, None], out=out)
             corr = resid.mean(axis=1)
             mean += corr
             var = np.square(resid, out=resid).mean(axis=1) - corr * corr
@@ -164,15 +224,16 @@ class BatchNorm(Layer):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = rows - mean[:, None]
+        # training keeps xhat for backward; eval forms it in the output buffer
+        xhat = np.subtract(rows, mean[:, None], out=None if train else out)
         xhat *= inv_std[:, None]
-        out = xhat * self.gamma[:, None]
+        np.multiply(xhat, self.gamma[:, None], out=out)
         out += self.beta[:, None]
         if train:
             self._cache = (xhat, inv_std)
         return out.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         xhat, inv_std = self._cache
         self._cache = None
         n, c, h, w = dout.shape
@@ -180,6 +241,8 @@ class BatchNorm(Layer):
         m = rows.shape[1]
         self.d_gamma = (rows * xhat).sum(axis=1)
         self.d_beta = rows.sum(axis=1)
+        if not input_grad:
+            return None
         # batch-stat backprop per channel row:
         # gamma * inv_std * (dout - mean(dout) - xhat * mean(dout * xhat))
         dx = xhat * (self.d_gamma / m)[:, None]
@@ -220,10 +283,10 @@ class ReLU(Layer):
             self._mask = x > 0
         return out
 
-    def backward(self, dout):
-        dx = dout * self._mask
+    def backward(self, dout, input_grad=True):
+        mask = self._mask
         self._mask = None
-        return dx
+        return dout * mask if input_grad else None
 
 
 class MaxPool(Layer):
@@ -268,9 +331,11 @@ class MaxPool(Layer):
         out = np.take_along_axis(cols, arg, axis=1)
         return out.reshape(c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         x_shape, picked = self._cache
         self._cache = None
+        if not input_grad:
+            return None
         n, c, h, w = x_shape
         k = self.kernel
         dt = dout.transpose(1, 2, 3, 0)
@@ -306,12 +371,14 @@ class Linear(Layer):
             self._x = x
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
         x = self._x
         self._x = None
         self.d_weight = dout.T @ self._flat(x)
         if self.bias is not None:
             self.d_bias = dout.sum(axis=0)
+        if not input_grad:
+            return None
         if x.ndim == 2:
             return dout @ self.weight
         n, c, h, w = x.shape

@@ -118,11 +118,14 @@ class Network:
             return x, captured
         return x
 
-    def backward(self, dlogits):
+    def backward(self, dlogits) -> None:
+        """Set every layer's parameter gradients from ``dlogits``. Nothing
+        reads the gradient with respect to the network input, so the first
+        layer does not form it."""
         d = dlogits
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             d = layer.backward(d)
-        return d
+        self.layers[0].backward(d, input_grad=False)
 
     def loss_and_grads(self, x, labels, loss="xent", train=True, update_stats=None):
         logits = self.forward(x, train=train, update_stats=update_stats)

@@ -236,6 +236,21 @@ class ExperimentRun:
     def path(self, name: str) -> str:
         return os.path.join(self.run_dir, name)
 
+    def _reused_structure(self, stage, name, widths) -> archspec.NetworkStructure:
+        """The width vector stored in a reused artifact, checked against the
+        template: one width per prunable slot, each within [1, original]."""
+        bounds = self.template.slot_bounds()
+        where = f"{stage} stage: reused {self.path(name)}"
+        if len(widths) != len(bounds):
+            raise PruneKitError(
+                f"{where} holds {len(widths)} widths, expected {len(bounds)} "
+                f"(one per prunable slot of {self.template.name})")
+        for slot, (width, bound) in enumerate(zip(widths, bounds)):
+            if not 1 <= width <= bound:
+                raise PruneKitError(
+                    f"{where}: width {width} of slot {slot} is outside [1, {bound}]")
+        return archspec.NetworkStructure(tuple(widths))
+
     def _timed(self, stage, fn):
         start = time.perf_counter()
         try:
@@ -295,7 +310,8 @@ class ExperimentRun:
             if resume and os.path.exists(out_path):
                 with open(out_path) as fh:
                     saved = json.load(fh)
-                return archspec.NetworkStructure(tuple(saved["structure"])), saved
+                return self._reused_structure("coarse", "coarse.json",
+                                              saved["structure"]), saved
             samples = data.sample_images(self.train_set, self.config.sample_count,
                                          derive_seed(self.config.seed, "sample"))
             sink = None
@@ -325,7 +341,7 @@ class ExperimentRun:
             if resume and os.path.exists(out_path):
                 with open(out_path) as fh:
                     saved = json.load(fh)
-                return archspec.NetworkStructure(tuple(saved["best"])), saved
+                return self._reused_structure("search", "search.json", saved["best"]), saved
             swarm_cfg = self.config.swarm
             if swarm_cfg.seed is None:
                 swarm_cfg = replace(swarm_cfg, seed=derive_seed(self.config.seed, "search"))
@@ -340,13 +356,10 @@ class ExperimentRun:
                 lr_drops=self.config.trainer.lr_drops,
                 momentum=self.config.trainer.momentum,
                 weight_decay=self.config.trainer.weight_decay)
-            trace_path = self.path("swarm_trace.jsonl")
-            if not resume and os.path.exists(trace_path):
-                os.remove(trace_path)
             result = swarm.search(
                 coarse_structure, self.template.original_structure(), evaluator,
                 swarm_cfg, state_path=self.path("swarm_state.json"),
-                trace_path=trace_path, resume=resume)
+                trace_path=self.path("swarm_trace.jsonl"), resume=resume)
             saved = {
                 "best": list(result.best),
                 "best_fitness": result.best_fitness,

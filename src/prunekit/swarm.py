@@ -223,22 +223,27 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
     persisted after initialization and after every iteration, and
     ``resume=True`` continues from whatever iteration that file holds; a
     resumed run reproduces the uninterrupted one exactly. ``trace_path``
-    collects one JSON line per fitness evaluation.
+    collects one JSON line per fitness evaluation. Each iteration's lines are
+    appended before its state is saved, and a run first cuts the trace back
+    to the iterations its starting state covers (none on a fresh start), so
+    a crash between the two writes neither loses nor repeats a line.
     """
     bounds_arr = np.asarray(tuple(bounds), dtype=np.int64)
     trace: list = []
     history: list = []
 
+    state = None
     if resume and state_path is not None and os.path.exists(state_path):
         with open(state_path) as fh:
             state = _state_from_dict(json.load(fh))
-    else:
+    _cut_trace(trace_path, -1 if state is None else state.iteration)
+    if state is None:
         state = init_population(coarse, bounds_arr, evaluator, config, trace=trace)
         fits = [p.pbest_fitness for p in state.particles]
         history.append((0, state.gbest_fitness, float(np.mean(fits))))
+        _append_trace(trace_path, trace)
         if state_path is not None:
             write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
-        _append_trace(trace_path, trace)
 
     while state.iteration < config.iterations:
         t = state.iteration + 1
@@ -276,12 +281,29 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
         state.iteration = t
         trace.extend(records)
         history.append((t, state.gbest_fitness, float(np.mean(fits))))
+        _append_trace(trace_path, records)
         if state_path is not None:
             write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
-        _append_trace(trace_path, records)
 
     return SearchResult(archspec.NetworkStructure(state.gbest),
                         state.gbest_fitness, history, trace)
+
+
+def _cut_trace(trace_path, iteration) -> None:
+    """Truncate the trace after its last whole line of an iteration <=
+    ``iteration``; lines are in iteration order."""
+    if trace_path is None or not os.path.exists(trace_path):
+        return
+    keep = 0
+    with open(trace_path, "rb") as fh:
+        for line in fh:
+            try:
+                if not line.endswith(b"\n") or json.loads(line)["iteration"] > iteration:
+                    break
+            except ValueError:  # a line torn by a crash mid-append
+                break
+            keep += len(line)
+    os.truncate(trace_path, keep)
 
 
 def _append_trace(trace_path, records) -> None:
@@ -333,12 +355,3 @@ class ProxyFitnessEvaluator:
         self.cache[key] = fitness
         self.evaluations += 1
         return fitness
-
-
-def proxy_fitness(structure, template, train_images, train_labels,
-                  test_images, test_labels, proxy_epochs=2, seed=0, **kwargs) -> float:
-    """One-shot convenience wrapper around ProxyFitnessEvaluator."""
-    ev = ProxyFitnessEvaluator(template, train_images, train_labels,
-                               test_images, test_labels,
-                               proxy_epochs=proxy_epochs, seed=seed, **kwargs)
-    return ev.evaluate(structure)

@@ -20,6 +20,7 @@ from prunekit.nncore import (
     softmax,
     train,
 )
+from prunekit.nncore import layers
 from prunekit.nncore.layers import BatchNorm, Conv, Linear, MaxPool, ReLU, col2im, im2col
 from prunekit.nncore.model import cross_entropy
 
@@ -174,6 +175,129 @@ class TestKernels:
         for idx, layer in enumerate(net.layers):
             for attr in ("_cache", "_mask", "_x"):
                 assert getattr(layer, attr, None) is None, (idx, attr)
+
+
+def spy_bands(monkeypatch):
+    """Record the ``rows`` argument of every im2col call."""
+    bands = []
+    original = layers.im2col
+
+    def recorded(*args, **kwargs):
+        bands.append(kwargs.get("rows"))
+        return original(*args, **kwargs)
+    monkeypatch.setattr(layers, "im2col", recorded)
+    return bands
+
+
+class TestEvalConvBands:
+    """The eval-mode Conv.forward, which unfolds and multiplies a band of
+    output rows at a time, against the loop oracle and the training forward."""
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_matches_loop_oracle(self, stride, padding, monkeypatch):
+        rng = np.random.default_rng(40 + stride * 10 + padding)
+        conv = Conv(3, 4, (3, 3), stride, padding, True, rng, np.float64)
+        conv.bias[...] = rng.normal(size=4)
+        x = rng.normal(size=(2, 3, 11, 6))
+        out_h = (11 + 2 * padding - 3) // stride + 1
+        out_w = (6 + 2 * padding - 3) // stride + 1
+        # a budget of four output rows' columns; no out_h here is a multiple
+        # of four, so the last band is always partial
+        monkeypatch.setattr(Conv, "BAND_BYTES", 4 * 27 * out_w * 2 * 8)
+        bands = spy_bands(monkeypatch)
+        out = conv.forward(x, train=False)
+        np.testing.assert_allclose(out, conv2d_naive(x, conv.weight, conv.bias, stride, padding),
+                                   rtol=1e-10, atol=1e-12)
+        starts = list(range(0, out_h, 4))
+        assert bands == [(r0, min(r0 + 4, out_h)) for r0 in starts]
+        assert len(bands) >= 2 and out_h % 4 != 0
+
+    def test_eval_and_train_forward_agree(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        conv = Conv(16, 4, (3, 3), 1, 1, True, rng, np.float64)
+        conv.bias[...] = rng.normal(size=4)
+        # at the default budget: two full bands and a half one
+        band = Conv.BAND_BYTES // (16 * 9 * 20 * 8 * 8)
+        x = rng.normal(size=(8, 16, 2 * band + band // 2, 20))
+        bands = spy_bands(monkeypatch)
+        evaluated = conv.forward(x, train=False)
+        assert bands == [(0, band), (band, 2 * band), (2 * band, 2 * band + band // 2)]
+        trained = conv.forward(x, train=True)
+        assert bands[-1] is None
+        np.testing.assert_allclose(evaluated, trained, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [lambda: archspec.tiny4(num_classes=3),
+                                      small_conv_template])
+    def test_eval_forward_leaves_no_cache(self, make):
+        t = make()
+        net = Network(t, seed=0)
+        x = np.random.default_rng(0).normal(size=(4, *t.input_shape)).astype(np.float32)
+        net.forward(x, train=False, capture=True)
+        for idx, layer in enumerate(net.layers):
+            for attr in ("_cache", "_mask", "_x"):
+                assert getattr(layer, attr, None) is None, (idx, attr)
+
+
+def two_conv_template():
+    return assemble("gc2", (2, 5, 5), 3, [
+        LayerDef("conv", out_channels=3, kernel=3, padding=1),
+        LayerDef("activation"),
+        LayerDef("conv", out_channels=2, kernel=3, padding=1),
+        LayerDef("activation"),
+        LayerDef("classifier-head"),
+    ])
+
+
+class TestFirstLayerBackward:
+    """Network.backward forms no gradient with respect to the network input."""
+
+    def test_first_conv_skips_col2im(self, monkeypatch):
+        net = Network(two_conv_template(), seed=7).astype(np.float64)
+        x = np.random.default_rng(2).normal(size=(3, 2, 5, 5))
+        y = np.array([0, 1, 2])
+        scattered = []
+        original = layers.col2im
+
+        def recorded(dcols, x_shape, *args):
+            scattered.append(x_shape)
+            return original(dcols, x_shape, *args)
+        monkeypatch.setattr(layers, "col2im", recorded)
+        net.forward(x, train=True)
+        assert net.backward(np.ones((3, 3)) / 3) is None
+        # only the second conv scatters back, onto its (3, 3, 5, 5) input
+        assert scattered == [(3, 3, 5, 5)]
+        assert gradient_check(net, x, y) < 1e-4
+
+    @pytest.mark.parametrize("first", ["batchnorm", "activation", "pool", "fc"])
+    def test_first_layer_of_any_kind_trains(self, first):
+        head = [LayerDef("conv", out_channels=3, kernel=3, padding=1),
+                LayerDef("activation"), LayerDef("classifier-head")]
+        defs = {
+            "batchnorm": [LayerDef("batchnorm")] + head,
+            "activation": [LayerDef("activation")] + head,
+            "pool": [LayerDef("pool", kernel=2, stride=2)] + head,
+            "fc": [LayerDef("fc", out_channels=5), LayerDef("activation"),
+                   LayerDef("classifier-head")],
+        }[first]
+        t = assemble(f"{first}-first", (1, 4, 4), 2, defs)
+        net = Network(t, seed=3).astype(np.float64)
+        rng = np.random.default_rng(4)
+        # after a leading ReLU a window can see only zeros, and a zero bias
+        # would then sit its conv output on the next ReLU's kink
+        for name, arr in net.params().items():
+            if name.endswith("bias"):
+                arr[...] = rng.normal(size=arr.shape)
+        x = rng.normal(size=(4, 1, 4, 4))
+        y = np.array([0, 1, 1, 0])
+        assert gradient_check(net, x, y) < 1e-4
+        images, labels = separable_toy_set(n=64)
+        net = Network(t, seed=3)
+        cfg = TrainConfig(epochs=3, batch_size=16, initial_lr=0.05, lr_drops=(),
+                          weight_decay=0.0, seed=0)
+        before = {k: v.copy() for k, v in net.params().items()}
+        history = train(net, images, labels, images, labels, cfg)
+        assert len(history) == 3 and all(np.isfinite(h.train_loss) for h in history)
+        assert any(not np.array_equal(v, before[k]) for k, v in net.params().items())
 
 
 def batch_innermost(a):

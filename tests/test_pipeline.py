@@ -265,6 +265,44 @@ class TestFailureRecording:
         assert "coarse" in report.stage_seconds
 
 
+class TestResumeChecks:
+    """A reused coarse.json or search.json must hold one width per prunable
+    slot, each within [1, original]; otherwise the stage names the file."""
+
+    def write_artifact(self, run, name, key, widths):
+        with open(run.path(name), "w") as fh:
+            json.dump({key: widths}, fh)
+
+    def test_truncated_coarse_json(self, tmp_path):
+        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
+        original = list(run.template.original_structure())
+        self.write_artifact(run, "coarse.json", "structure", original[:-1])
+        with pytest.raises(PruneKitError, match=(
+                rf"coarse stage: reused .*coarse\.json holds {len(original) - 1} "
+                rf"widths, expected {len(original)}")):
+            run.stage_coarse(None, resume=True)
+        report = RunReport.load(run.path("report.json"))
+        assert report.failed_stage == "coarse"
+
+    def test_over_wide_search_json(self, tmp_path):
+        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
+        widths = list(run.template.original_structure())
+        widths[2] += 1
+        self.write_artifact(run, "search.json", "best", widths)
+        with pytest.raises(PruneKitError, match=(
+                rf"search stage: reused .*search\.json: width {widths[2]} of slot 2 "
+                rf"is outside \[1, {widths[2] - 1}\]")):
+            run.stage_search(None, resume=True)
+
+    def test_valid_artifacts_are_reused(self, tmp_path):
+        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
+        widths = [1] * len(run.template.prunable_slots)
+        self.write_artifact(run, "coarse.json", "structure", widths)
+        self.write_artifact(run, "search.json", "best", widths)
+        assert tuple(run.stage_coarse(None, resume=True)[0]) == tuple(widths)
+        assert tuple(run.stage_search(None, resume=True)[0]) == tuple(widths)
+
+
 class TestRenderTable:
     def make_report(self):
         return RunReport(

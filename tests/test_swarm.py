@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from prunekit import swarm as swarm_module
 from prunekit.archspec import NetworkStructure, tiny4
 from prunekit.errors import BoundsError, PruneKitError
 from prunekit.swarm import (
@@ -396,6 +397,60 @@ class TestSearch:
         assert resumed.best_fitness == full.best_fitness
         assert (tmp_path / "part_trace.jsonl").read_bytes() == \
             (tmp_path / "full_trace.jsonl").read_bytes()
+
+    def interrupted_then_resumed(self, tmp_path, monkeypatch, attr, fails):
+        """Run a search whose ``swarm.<attr>`` raises on the call for which
+        ``fails(args)`` holds, resume it, and return the trace bytes of the
+        resumed run and of an uninterrupted one."""
+        target = (6, 14)
+        coarse, bounds = (10, 10), (20, 20)
+        cfg = SwarmConfig(particles=5, iterations=6, seed=23)
+        search(coarse, bounds, quadratic_well(target), cfg,
+               state_path=str(tmp_path / "full_state.json"),
+               trace_path=str(tmp_path / "full_trace.jsonl"))
+        state, trace = str(tmp_path / "state.json"), str(tmp_path / "trace.jsonl")
+        original = getattr(swarm_module, attr)
+
+        def faulty(*args):
+            if fails(args):
+                raise OSError("synthetic crash")
+            return original(*args)
+        monkeypatch.setattr(swarm_module, attr, faulty)
+        with pytest.raises(OSError, match="synthetic crash"):
+            search(coarse, bounds, quadratic_well(target), cfg,
+                   state_path=state, trace_path=trace)
+        monkeypatch.setattr(swarm_module, attr, original)
+        search(coarse, bounds, quadratic_well(target), cfg,
+               state_path=state, trace_path=trace, resume=True)
+        return (tmp_path / "trace.jsonl").read_bytes(), \
+            (tmp_path / "full_trace.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("iteration", [0, 3, 6])
+    def test_crash_at_state_write_resumes_exact_trace(self, tmp_path, monkeypatch, iteration):
+        # the iteration's lines are already in the trace; resume reruns it
+        resumed, full = self.interrupted_then_resumed(
+            tmp_path, monkeypatch, "write_text_atomic",
+            lambda args: json.loads(args[1])["iteration"] == iteration)
+        assert resumed == full
+
+    @pytest.mark.parametrize("iteration", [0, 3, 6])
+    def test_crash_at_trace_append_resumes_exact_trace(self, tmp_path, monkeypatch, iteration):
+        resumed, full = self.interrupted_then_resumed(
+            tmp_path, monkeypatch, "_append_trace",
+            lambda args: args[1][0]["iteration"] == iteration)
+        assert resumed == full
+
+    def test_torn_trace_line_is_cut_on_resume(self, tmp_path, monkeypatch):
+        def torn(args):
+            # the crash leaves half of iteration 2's first line behind
+            if args[1][0]["iteration"] != 2:
+                return False
+            with open(args[0], "a") as fh:
+                fh.write(json.dumps(args[1][0])[:20])
+            return True
+        resumed, full = self.interrupted_then_resumed(
+            tmp_path, monkeypatch, "_append_trace", torn)
+        assert resumed == full
 
     def test_failure_names_iteration_and_particle(self):
         class Sabotaged:
