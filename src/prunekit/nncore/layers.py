@@ -79,6 +79,10 @@ class Layer:
     backward releases that cache once used. ``backward(dout, input_grad)``
     sets the parameter gradients and returns the input gradient, or None
     when ``input_grad`` is false.
+
+    No layer writes into an array it was given: every forward and backward
+    returns fresh arrays. A cache may therefore hold the input itself, not a
+    copy, as a training ``Conv`` does when its columns are too large to keep.
     """
 
     def params(self) -> dict:
@@ -95,15 +99,23 @@ class Layer:
 
 
 class Conv(Layer):
-    """2-D convolution as im2col + GEMM. An eval-mode forward unfolds the
-    input a band of output rows at a time, each band's columns taking at most
-    BAND_BYTES (or one row, if that is larger)."""
+    """2-D convolution as im2col + GEMM. The forward unfolds the input a band
+    of output rows at a time, each band's columns taking at most BAND_BYTES
+    (or one row, if that is larger). A training forward whose columns fit one
+    band keeps them for backward; otherwise it keeps its input, and backward
+    unfolds the whole batch again."""
 
     # The vgg16 capture forward runs as fast with 512 KiB as with 8 MiB. A
     # budget under 7 MB would also split tiny4's batch-256 evaluation, and
     # without that one large buffer glibc's dynamic mmap threshold stays low:
     # the training steps that follow then take ~2000 fresh-page faults each.
     BAND_BYTES = 1 << 23
+    # A weight gradient of at most this size is formed as the (K, O) product,
+    # which OpenBLAS runs faster than (O, K) when O is thin, and is held
+    # transposed. A larger one would cost the SGD update, which then reads it
+    # across its rows, more than the product saves: on vgg16 at batch 32,
+    # conv2 saves 13 ms but each 512-channel conv loses about 10.
+    DW_TRANSPOSED_BYTES = 1 << 20
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, bias, rng, dtype):
         kh, kw = kernel
@@ -118,23 +130,22 @@ class Conv(Layer):
 
     def forward(self, x, train):
         n = x.shape[0]
-        out_c, _, kh, kw = self.weight.shape
-        w2d = self.weight.reshape(out_c, -1)
+        out_c = self.weight.shape[0]
+        out, out_h, out_w, cols = self._forward_bands(x, self.weight.reshape(out_c, -1))
         if train:
-            # backward needs the whole batch's columns
-            cols, out_h, out_w = im2col(x, kh, kw, self.stride, self.padding)
-            out = w2d @ cols
-            self._cache = (x.shape, cols)
-        else:
-            out, out_h, out_w = self._forward_bands(x, w2d)
+            # columns that fit one band are kept for backward; larger ones
+            # are rebuilt there from the input, which is far smaller
+            self._cache = (x.shape, x if cols is None else None, cols)
         if self.bias is not None:
             out += self.bias[:, None]
         return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
     def _forward_bands(self, x, w2d):
-        """Eval-mode ``w2d @ im2col(x)`` a band of output rows at a time: each
-        band's columns go into one block reused across bands, and each GEMM
-        writes its band of the (O, out_h*out_w*N) output in place."""
+        """``w2d @ im2col(x)`` a band of output rows at a time: each band's
+        columns go into one block reused across bands, and each GEMM writes
+        its band of the (O, out_h*out_w*N) output in place. Returns the
+        output, its height and width, and the whole batch's columns when one
+        band held them all (else None)."""
         n, _, h, w = x.shape
         kh, kw = self.weight.shape[2:]
         p = self.padding
@@ -151,14 +162,21 @@ class Conv(Layer):
             r1 = min(r0 + band, out_h)
             cols, _, _ = im2col(x, kh, kw, self.stride, 0, rows=(r0, r1), out=block)
             np.matmul(w2d, cols, out=out[:, r0 * per_row:r1 * per_row])
-        return out, out_h, out_w
+        return out, out_h, out_w, (cols if band == out_h else None)
 
     def backward(self, dout, input_grad=True):
-        x_shape, cols = self._cache
+        x_shape, x, cols = self._cache
         self._cache = None
         out_c, _, kh, kw = self.weight.shape
+        if cols is None:
+            cols, _, _ = im2col(x, kh, kw, self.stride, self.padding)
+        del x
         dflat = dout.transpose(1, 2, 3, 0).reshape(out_c, -1)
-        self.d_weight = (dflat @ cols.T).reshape(self.weight.shape)
+        if self.weight.nbytes <= self.DW_TRANSPOSED_BYTES:
+            d_weight = (cols @ dflat.T).T
+        else:
+            d_weight = dflat @ cols.T
+        self.d_weight = d_weight.reshape(self.weight.shape)
         if self.bias is not None:
             self.d_bias = dflat.sum(axis=1)
         if not input_grad:

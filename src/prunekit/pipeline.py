@@ -376,7 +376,9 @@ class ExperimentRun:
             out_path = self.path("retrain.json")
             if resume and os.path.exists(out_path) and os.path.exists(self.path("final.ckpt")):
                 with open(out_path) as fh:
-                    return json.load(fh)
+                    saved = json.load(fh)
+                self._reused_structure("retrain", "retrain.json", saved["structure"])
+                return saved
             pruned = archspec.instantiate(self.template, final_structure)
             orig_flops = archspec.flops_count(self.template)
             pruned_flops = archspec.flops_count(pruned)

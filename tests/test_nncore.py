@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,25 @@ class TestKernels:
         if bias:
             np.testing.assert_allclose(conv.d_bias, want_db, rtol=1e-10, atol=1e-12)
 
+    def test_weight_gradient_orientations_agree(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        conv = Conv(3, 4, (3, 3), 1, 1, False, rng, np.float64)
+        x = rng.normal(size=(4, 3, 6, 5))
+        dout = rng.normal(size=(4, 4, 6, 5))
+
+        def d_weight():
+            conv.forward(x, train=True)
+            conv.backward(dout)
+            return conv.d_weight
+
+        assert conv.weight.nbytes <= Conv.DW_TRANSPOSED_BYTES
+        transposed = d_weight()
+        monkeypatch.setattr(Conv, "DW_TRANSPOSED_BYTES", 0)
+        direct = d_weight()
+        np.testing.assert_array_equal(transposed, direct)
+        _, want_dw, _ = conv2d_backward_naive(x, conv.weight, dout, 1, 1)
+        np.testing.assert_allclose(direct, want_dw, rtol=1e-10, atol=1e-12)
+
     # (2, 2) on even sides pools by reshape; the others take the im2col path
     @pytest.mark.parametrize("kernel,stride,h,w", [(2, 2, 4, 6), (3, 2, 5, 7), (2, 2, 5, 5)])
     def test_maxpool_matches_loop_oracle_with_ties(self, kernel, stride, h, w):
@@ -223,7 +244,10 @@ class TestEvalConvBands:
         evaluated = conv.forward(x, train=False)
         assert bands == [(0, band), (band, 2 * band), (2 * band, 2 * band + band // 2)]
         trained = conv.forward(x, train=True)
-        assert bands[-1] is None
+        # the training forward unfolds the same bands and keeps its input,
+        # not columns
+        _, kept, cols = conv._cache
+        assert bands[3:] == bands[:3] and kept is x and cols is None
         np.testing.assert_allclose(evaluated, trained, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("make", [lambda: archspec.tiny4(num_classes=3),
@@ -236,6 +260,80 @@ class TestEvalConvBands:
         for idx, layer in enumerate(net.layers):
             for attr in ("_cache", "_mask", "_x"):
                 assert getattr(layer, attr, None) is None, (idx, attr)
+
+
+class TestTrainConvBands:
+    """A training Conv.forward runs banded too: a conv whose columns fit one
+    band keeps them for backward, and any larger one keeps its input and
+    rebuilds the whole batch's columns in backward."""
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_rebuilt_columns_match_oracle_and_one_band(self, stride, padding, monkeypatch):
+        rng = np.random.default_rng(60 + stride * 10 + padding)
+        conv = Conv(3, 4, (3, 3), stride, padding, True, rng, np.float64)
+        conv.bias[...] = rng.normal(size=4)
+        # BLAS may sum a tail narrower than its kernel in another order, so
+        # at batch 16 every band, like each of vgg16's, spans a multiple of
+        # 16 columns
+        x = rng.normal(size=(16, 3, 11, 6))
+        out_w = (6 + 2 * padding - 3) // stride + 1
+
+        def step():
+            out = conv.forward(x, train=True)
+            kept = conv._cache[2] is not None
+            dx = conv.backward(dout)
+            return kept, out, conv.d_weight, conv.d_bias, dx
+
+        dout = rng.normal(size=conv.forward(x, train=False).shape)
+        kept, *one_band = step()
+        assert kept
+        # a budget of two output rows' columns
+        monkeypatch.setattr(Conv, "BAND_BYTES", 2 * 27 * out_w * 16 * 8)
+        kept, *banded = step()
+        assert not kept
+        for got, want in zip(banded, one_band):
+            np.testing.assert_array_equal(got, want)
+        out, d_weight, d_bias, dx = banded
+        np.testing.assert_allclose(out, conv2d_naive(x, conv.weight, conv.bias, stride, padding),
+                                   rtol=1e-10, atol=1e-12)
+        want_dx, want_dw, want_db = conv2d_backward_naive(x, conv.weight, dout, stride, padding)
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(d_weight, want_dw, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(d_bias, want_db, rtol=1e-10, atol=1e-12)
+
+    def test_gradient_check_when_every_conv_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(Conv, "BAND_BYTES", 1)  # one output row per band
+        net = Network(two_conv_template(), seed=7).astype(np.float64)
+        x = np.random.default_rng(2).normal(size=(3, 2, 5, 5))
+        net.forward(x, train=True)
+        convs = [layer for layer in net.layers if isinstance(layer, Conv)]
+        assert len(convs) == 2 and all(conv._cache[2] is None for conv in convs)
+        assert gradient_check(net, x, np.array([0, 1, 2])) < 1e-4
+
+    def test_multi_band_forward_holds_no_columns(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        conv = Conv(16, 8, (3, 3), 1, 1, True, rng, np.float32)
+        x = rng.normal(size=(8, 16, 16, 16)).astype(np.float32)
+        col_bytes = 16 * 9 * 16 * 16 * 8 * 4
+        monkeypatch.setattr(Conv, "BAND_BYTES", col_bytes // 8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv.forward(x, train=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the output (an eighteenth of the columns) and the cache entry
+        assert held < col_bytes / 2
+        assert out.shape == (8, 8, 16, 16)
+
+    def test_tiny4_training_convs_keep_their_columns(self):
+        t = archspec.tiny4(num_classes=3)
+        net = Network(t, seed=0)
+        x = np.random.default_rng(0).normal(size=(128, *t.input_shape)).astype(np.float32)
+        net.forward(x, train=True)
+        convs = [layer for layer in net.layers if isinstance(layer, Conv)]
+        assert len(convs) == 4 and all(conv._cache[2] is not None for conv in convs)
 
 
 def two_conv_template():

@@ -266,8 +266,9 @@ class TestFailureRecording:
 
 
 class TestResumeChecks:
-    """A reused coarse.json or search.json must hold one width per prunable
-    slot, each within [1, original]; otherwise the stage names the file."""
+    """A reused coarse.json, search.json or retrain.json must hold one width
+    per prunable slot, each within [1, original]; otherwise the stage names
+    the file."""
 
     def write_artifact(self, run, name, key, widths):
         with open(run.path(name), "w") as fh:
@@ -293,6 +294,31 @@ class TestResumeChecks:
                 rf"search stage: reused .*search\.json: width {widths[2]} of slot 2 "
                 rf"is outside \[1, {widths[2] - 1}\]")):
             run.stage_search(None, resume=True)
+
+    def write_retrain(self, run, widths):
+        self.write_artifact(run, "retrain.json", "structure", widths)
+        open(run.path("final.ckpt"), "wb").close()
+
+    def test_truncated_retrain_json(self, tmp_path):
+        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
+        original = list(run.template.original_structure())
+        self.write_retrain(run, original[:-1])
+        with pytest.raises(PruneKitError, match=(
+                rf"retrain stage: reused .*retrain\.json holds {len(original) - 1} "
+                rf"widths, expected {len(original)}")):
+            run.stage_retrain(None, resume=True)
+        report = RunReport.load(run.path("report.json"))
+        assert report.failed_stage == "retrain"
+
+    def test_over_wide_retrain_json(self, tmp_path):
+        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
+        widths = list(run.template.original_structure())
+        widths[0] = 999
+        self.write_retrain(run, widths)
+        with pytest.raises(PruneKitError, match=(
+                rf"retrain stage: reused .*retrain\.json: width 999 of slot 0 "
+                rf"is outside \[1, {run.template.original_structure()[0]}\]")):
+            run.stage_retrain(None, resume=True)
 
     def test_valid_artifacts_are_reused(self, tmp_path):
         run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
