@@ -110,12 +110,6 @@ class Conv(Layer):
     # without that one large buffer glibc's dynamic mmap threshold stays low:
     # the training steps that follow then take ~2000 fresh-page faults each.
     BAND_BYTES = 1 << 23
-    # A weight gradient of at most this size is formed as the (K, O) product,
-    # which OpenBLAS runs faster than (O, K) when O is thin, and is held
-    # transposed. A larger one would cost the SGD update, which then reads it
-    # across its rows, more than the product saves: on vgg16 at batch 32,
-    # conv2 saves 13 ms but each 512-channel conv loses about 10.
-    DW_TRANSPOSED_BYTES = 1 << 20
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, bias, rng, dtype):
         kh, kw = kernel
@@ -172,11 +166,7 @@ class Conv(Layer):
             cols, _, _ = im2col(x, kh, kw, self.stride, self.padding)
         del x
         dflat = dout.transpose(1, 2, 3, 0).reshape(out_c, -1)
-        if self.weight.nbytes <= self.DW_TRANSPOSED_BYTES:
-            d_weight = (cols @ dflat.T).T
-        else:
-            d_weight = dflat @ cols.T
-        self.d_weight = d_weight.reshape(self.weight.shape)
+        self.d_weight = (dflat @ cols.T).reshape(self.weight.shape)
         if self.bias is not None:
             self.d_bias = dflat.sum(axis=1)
         if not input_grad:

@@ -146,25 +146,6 @@ class TestKernels:
         if bias:
             np.testing.assert_allclose(conv.d_bias, want_db, rtol=1e-10, atol=1e-12)
 
-    def test_weight_gradient_orientations_agree(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        conv = Conv(3, 4, (3, 3), 1, 1, False, rng, np.float64)
-        x = rng.normal(size=(4, 3, 6, 5))
-        dout = rng.normal(size=(4, 4, 6, 5))
-
-        def d_weight():
-            conv.forward(x, train=True)
-            conv.backward(dout)
-            return conv.d_weight
-
-        assert conv.weight.nbytes <= Conv.DW_TRANSPOSED_BYTES
-        transposed = d_weight()
-        monkeypatch.setattr(Conv, "DW_TRANSPOSED_BYTES", 0)
-        direct = d_weight()
-        np.testing.assert_array_equal(transposed, direct)
-        _, want_dw, _ = conv2d_backward_naive(x, conv.weight, dout, 1, 1)
-        np.testing.assert_allclose(direct, want_dw, rtol=1e-10, atol=1e-12)
-
     # (2, 2) on even sides pools by reshape; the others take the im2col path
     @pytest.mark.parametrize("kernel,stride,h,w", [(2, 2, 4, 6), (3, 2, 5, 7), (2, 2, 5, 5)])
     def test_maxpool_matches_loop_oracle_with_ties(self, kernel, stride, h, w):
