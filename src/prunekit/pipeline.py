@@ -25,12 +25,11 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
-import numpy as np
 import yaml
 
 from . import archspec, cluster, data, featstats, swarm
-from .errors import BoundsError, DataFormatError, PruneKitError
-from .nncore import Network, TrainConfig, evaluate, load_model, save_model, train
+from .errors import BoundsError, PruneKitError
+from .nncore import Network, TrainConfig, load_model, save_model, train
 from .report import RunReport, render_table
 from .util import canonical_json, derive_seed, sha256_hex, write_text_atomic
 
@@ -236,62 +235,78 @@ class ExperimentRun:
     def path(self, name: str) -> str:
         return os.path.join(self.run_dir, name)
 
-    def _reused_structure(self, stage, name, widths) -> archspec.NetworkStructure:
-        """The width vector stored in a reused artifact, checked against the
-        template: one width per prunable slot, each within [1, original]."""
-        bounds = self.template.slot_bounds()
-        where = f"{stage} stage: reused {self.path(name)}"
-        if len(widths) != len(bounds):
-            raise PruneKitError(
-                f"{where} holds {len(widths)} widths, expected {len(bounds)} "
-                f"(one per prunable slot of {self.template.name})")
-        for slot, (width, bound) in enumerate(zip(widths, bounds)):
-            if not 1 <= width <= bound:
-                raise PruneKitError(
-                    f"{where}: width {width} of slot {slot} is outside [1, {bound}]")
-        return archspec.NetworkStructure(tuple(widths))
-
-    def _timed(self, stage, fn):
-        start = time.perf_counter()
-        try:
-            result = fn()
-        except Exception as exc:
-            self._record_failure(stage, exc)
-            raise
-        self.stage_seconds[stage] = time.perf_counter() - start
-        return result
-
-    def _record_failure(self, stage, exc) -> None:
-        report = RunReport(
+    def _report(self, **fields) -> RunReport:
+        """A RunReport with this run's identity fields filled in."""
+        return RunReport(
             dataset_name=self.config.dataset.name,
             template_name=self.template.name,
             epsilon=self.config.epsilon, min_pts=self.config.min_pts,
             original_structure=list(self.template.original_structure()),
-            coarse_structure=[], final_structure=[],
             stage_seconds=dict(self.stage_seconds),
             config_hash=self.config.config_hash(), seed=self.config.seed,
-            failed_stage=stage, error=f"{type(exc).__name__}: {exc}")
-        report.save(self.path("report.json"))
+            **fields)
+
+    def _stage(self, stage, artifact, compute, reuse, checkpoint=None, net=None,
+               widths=None) -> dict:
+        """Run one stage: reuse its checked artifact, or compute it and write it.
+
+        With ``reuse`` set, an existing ``artifact`` (plus its ``checkpoint``,
+        for a stage that writes one) is read back, ``net`` gets the
+        checkpoint's weights, and the width vector under the key ``widths``
+        must hold one width per prunable slot, each within [1, original].
+        Otherwise the dict ``compute()`` returns is written atomically. The
+        stage is timed, and a failure is recorded in report.json before it
+        propagates.
+        """
+        start = time.perf_counter()
+        try:
+            path = self.path(artifact)
+            ckpt = self.path(checkpoint) if checkpoint else None
+            if reuse and os.path.exists(path) and (ckpt is None or os.path.exists(ckpt)):
+                where = f"{stage} stage: reused {path}"
+                try:
+                    with open(path) as fh:
+                        saved = json.load(fh)
+                except ValueError as exc:
+                    raise PruneKitError(f"{where} is not valid JSON: {exc}") from exc
+                if widths is not None:
+                    vector = saved.get(widths) if isinstance(saved, dict) else None
+                    if not isinstance(vector, list):
+                        raise PruneKitError(f"{where} has no {widths!r} list of widths")
+                    bounds = self.template.slot_bounds()
+                    if len(vector) != len(bounds):
+                        raise PruneKitError(
+                            f"{where} holds {len(vector)} widths, expected {len(bounds)} "
+                            f"(one per prunable slot of {self.template.name})")
+                    for slot, (width, bound) in enumerate(zip(vector, bounds)):
+                        if type(width) is not int or not 1 <= width <= bound:
+                            raise PruneKitError(
+                                f"{where}: width {width} of slot {slot} is outside [1, {bound}]")
+                if net is not None:
+                    load_model(ckpt, net)
+            else:
+                saved = compute()
+                write_text_atomic(path, json.dumps(saved, indent=2) + "\n")
+        except Exception as exc:
+            self._report(coarse_structure=[], final_structure=[], failed_stage=stage,
+                         error=f"{type(exc).__name__}: {exc}").save(self.path("report.json"))
+            raise
+        self.stage_seconds[stage] = time.perf_counter() - start
+        return saved
 
     # -- stage 1 ------------------------------------------------------------
     def stage_baseline(self):
         """Train the full-width model, or load it if this run dir has one."""
-        def work():
-            ckpt = self.path("baseline.ckpt")
-            meta_path = self.path("baseline.json")
-            net = Network(self.template, seed=derive_seed(self.config.seed, "baseline", "init"))
-            if os.path.exists(ckpt) and os.path.exists(meta_path):
-                load_model(ckpt, net)
-                with open(meta_path) as fh:
-                    meta = json.load(fh)
-                return net, meta
+        net = Network(self.template, seed=derive_seed(self.config.seed, "baseline", "init"))
+
+        def compute():
             cfg = self.config.trainer.train_config(
                 self.config.baseline_epochs, derive_seed(self.config.seed, "baseline"))
             history = train(net, self.train_set.images, self.train_set.labels,
                             self.test_set.images, self.test_set.labels, cfg,
                             trace_path=self.path("baseline_trace.csv"))
-            save_model(ckpt, net)
-            meta = {
+            save_model(self.path("baseline.ckpt"), net)
+            return {
                 "accuracy": history[-1].test_accuracy,
                 "best_accuracy": max(h.test_accuracy for h in history),
                 "params": archspec.param_count(self.template),
@@ -299,19 +314,13 @@ class ExperimentRun:
                 "epochs": self.config.baseline_epochs,
                 "weight_init": "kaiming-fan-in",
             }
-            write_text_atomic(meta_path, json.dumps(meta, indent=2) + "\n")
-            return net, meta
-        return self._timed("baseline", work)
+        meta = self._stage("baseline", "baseline.json", compute, reuse=True,
+                           checkpoint="baseline.ckpt", net=net)
+        return net, meta
 
     # -- stage 2 ------------------------------------------------------------
     def stage_coarse(self, net, resume=False):
-        def work():
-            out_path = self.path("coarse.json")
-            if resume and os.path.exists(out_path):
-                with open(out_path) as fh:
-                    saved = json.load(fh)
-                return self._reused_structure("coarse", "coarse.json",
-                                              saved["structure"]), saved
+        def compute():
             samples = data.sample_images(self.train_set, self.config.sample_count,
                                          derive_seed(self.config.seed, "sample"))
             sink = None
@@ -322,7 +331,7 @@ class ExperimentRun:
             structure, reports = cluster.coarse_prune(
                 self.template, net, samples, self.config.neighborhood(),
                 similarity_sink=sink)
-            saved = {
+            return {
                 "structure": list(structure),
                 "original": list(self.template.original_structure()),
                 "epsilon": self.config.epsilon,
@@ -330,18 +339,12 @@ class ExperimentRun:
                 "sample_count": self.config.sample_count,
                 "layers": [r.to_dict() for r in reports],
             }
-            write_text_atomic(out_path, json.dumps(saved, indent=2) + "\n")
-            return structure, saved
-        return self._timed("coarse", work)
+        saved = self._stage("coarse", "coarse.json", compute, resume, widths="structure")
+        return archspec.NetworkStructure(saved["structure"]), saved
 
     # -- stage 3 ------------------------------------------------------------
     def stage_search(self, coarse_structure, resume=False):
-        def work():
-            out_path = self.path("search.json")
-            if resume and os.path.exists(out_path):
-                with open(out_path) as fh:
-                    saved = json.load(fh)
-                return self._reused_structure("search", "search.json", saved["best"]), saved
+        def compute():
             swarm_cfg = self.config.swarm
             if swarm_cfg.seed is None:
                 swarm_cfg = replace(swarm_cfg, seed=derive_seed(self.config.seed, "search"))
@@ -349,36 +352,25 @@ class ExperimentRun:
                 self.template,
                 self.train_set.images, self.train_set.labels,
                 self.test_set.images, self.test_set.labels,
-                proxy_epochs=swarm_cfg.proxy_epochs,
-                seed=derive_seed(self.config.seed, "proxy"),
-                batch_size=self.config.trainer.batch_size,
-                initial_lr=self.config.trainer.initial_lr,
-                lr_drops=self.config.trainer.lr_drops,
-                momentum=self.config.trainer.momentum,
-                weight_decay=self.config.trainer.weight_decay)
+                self.config.trainer.train_config(
+                    swarm_cfg.proxy_epochs, derive_seed(self.config.seed, "proxy")))
             result = swarm.search(
                 coarse_structure, self.template.original_structure(), evaluator,
                 swarm_cfg, state_path=self.path("swarm_state.json"),
                 trace_path=self.path("swarm_trace.jsonl"), resume=resume)
-            saved = {
+            return {
                 "best": list(result.best),
                 "best_fitness": result.best_fitness,
                 "history": [list(h) for h in result.history],
-                "evaluations": evaluator.evaluations,
+                # each distinct structure is trained once
+                "evaluations": len({tuple(r["structure"]) for r in result.trace}),
             }
-            write_text_atomic(out_path, json.dumps(saved, indent=2) + "\n")
-            return result.best, saved
-        return self._timed("search", work)
+        saved = self._stage("search", "search.json", compute, resume, widths="best")
+        return archspec.NetworkStructure(saved["best"]), saved
 
     # -- stage 4 ------------------------------------------------------------
     def stage_retrain(self, final_structure, resume=False):
-        def work():
-            out_path = self.path("retrain.json")
-            if resume and os.path.exists(out_path) and os.path.exists(self.path("final.ckpt")):
-                with open(out_path) as fh:
-                    saved = json.load(fh)
-                self._reused_structure("retrain", "retrain.json", saved["structure"])
-                return saved
+        def compute():
             pruned = archspec.instantiate(self.template, final_structure)
             orig_flops = archspec.flops_count(self.template)
             pruned_flops = archspec.flops_count(pruned)
@@ -390,7 +382,7 @@ class ExperimentRun:
                             self.test_set.images, self.test_set.labels, cfg,
                             trace_path=self.path("final_trace.csv"))
             save_model(self.path("final.ckpt"), net)
-            saved = {
+            return {
                 "structure": list(final_structure),
                 "accuracy": history[-1].test_accuracy,
                 "best_accuracy": max(h.test_accuracy for h in history),
@@ -398,23 +390,16 @@ class ExperimentRun:
                 "flops": pruned_flops,
                 "retrain_epochs": epochs,
             }
-            write_text_atomic(out_path, json.dumps(saved, indent=2) + "\n")
-            return saved
-        return self._timed("retrain", work)
+        return self._stage("retrain", "retrain.json", compute, resume,
+                           checkpoint="final.ckpt", widths="structure")
 
     # -- stage 5 ------------------------------------------------------------
     def stage_report(self, baseline_meta, coarse_saved, retrain_saved):
-        def work():
+        def compute():
             param_drop, flop_drop = archspec.compression_report(
-                self.template,
-                archspec.NetworkStructure(tuple(self.template.original_structure())),
-                archspec.NetworkStructure(tuple(retrain_saved["structure"])))
-            report = RunReport(
-                dataset_name=self.config.dataset.name,
-                template_name=self.template.name,
-                epsilon=self.config.epsilon,
-                min_pts=self.config.min_pts,
-                original_structure=list(self.template.original_structure()),
+                self.template, self.template.original_structure(),
+                archspec.NetworkStructure(retrain_saved["structure"]))
+            report = self._report(
                 coarse_structure=list(coarse_saved["structure"]),
                 final_structure=list(retrain_saved["structure"]),
                 baseline={
@@ -431,17 +416,13 @@ class ExperimentRun:
                     "flop_drop_percent": flop_drop,
                 },
                 retrain_epochs=retrain_saved["retrain_epochs"],
-                stage_seconds=dict(self.stage_seconds),
                 normalization={
                     "mean": self.train_set.metadata.get("standardize_mean"),
                     "std": self.train_set.metadata.get("standardize_std"),
-                },
-                config_hash=self.config.config_hash(),
-                seed=self.config.seed)
-            report.save(self.path("report.json"))
+                })
             write_text_atomic(self.path("report.txt"), render_table(report))
-            return report
-        return self._timed("report", work)
+            return report.to_dict()
+        return RunReport.from_dict(self._stage("report", "report.json", compute, reuse=False))
 
 
 def run(config: ExperimentConfig, resume: bool = False,

@@ -9,13 +9,14 @@ scores it by its best test accuracy.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import archspec
+from . import archspec, nncore
 from .errors import BoundsError, PruneKitError
 from .util import derive_seed, round_half_away, write_text_atomic
 
@@ -211,7 +212,7 @@ def _state_from_dict(data: dict) -> SwarmState:
 class SearchResult:
     best: archspec.NetworkStructure
     best_fitness: float
-    history: list = field(default_factory=list)  # (iteration, gbest_fitness, mean_fitness)
+    history: list = field(default_factory=list)  # (iteration, best fitness so far, mean fitness)
     trace: list = field(default_factory=list)    # per-evaluation records
 
 
@@ -226,21 +227,19 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
     collects one JSON line per fitness evaluation. Each iteration's lines are
     appended before its state is saved, and a run first cuts the trace back
     to the iterations its starting state covers (none on a fresh start), so
-    a crash between the two writes neither loses nor repeats a line.
+    a crash between the two writes neither loses nor repeats a line. The
+    result's trace and history start from the lines kept, so with a
+    ``trace_path`` they cover the whole run, resumed or not.
     """
     bounds_arr = np.asarray(tuple(bounds), dtype=np.int64)
-    trace: list = []
-    history: list = []
 
     state = None
     if resume and state_path is not None and os.path.exists(state_path):
         with open(state_path) as fh:
             state = _state_from_dict(json.load(fh))
-    _cut_trace(trace_path, -1 if state is None else state.iteration)
+    trace = _cut_trace(trace_path, -1 if state is None else state.iteration)
     if state is None:
         state = init_population(coarse, bounds_arr, evaluator, config, trace=trace)
-        fits = [p.pbest_fitness for p in state.particles]
-        history.append((0, state.gbest_fitness, float(np.mean(fits))))
         _append_trace(trace_path, trace)
         if state_path is not None:
             write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
@@ -248,7 +247,6 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
     while state.iteration < config.iterations:
         t = state.iteration + 1
         records = []
-        fits = []
         gbest_before = state.gbest
         new_best_idx = None
         for idx, p in enumerate(state.particles):
@@ -257,7 +255,6 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
             update_position(p, config)
             structure = evaluated_structure(p.position, bounds_arr)
             fitness = _evaluate(evaluator, structure, t, idx)
-            fits.append(fitness)
             improved = fitness > p.pbest_fitness
             if improved:
                 p.pbest = tuple(structure)
@@ -280,30 +277,48 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
                 records[new_best_idx]["is_gbest"] = True
         state.iteration = t
         trace.extend(records)
-        history.append((t, state.gbest_fitness, float(np.mean(fits))))
         _append_trace(trace_path, records)
         if state_path is not None:
             write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
 
     return SearchResult(archspec.NetworkStructure(state.gbest),
-                        state.gbest_fitness, history, trace)
+                        state.gbest_fitness, _history(trace), trace)
 
 
-def _cut_trace(trace_path, iteration) -> None:
+def _history(trace) -> list:
+    """One (iteration, best fitness so far, mean fitness) row per iteration of
+    ``trace``. The best so far is the global best, which only ever takes the
+    highest fitness evaluated."""
+    rows, best = [], -np.inf
+    for t, group in itertools.groupby(trace, key=lambda rec: rec["iteration"]):
+        fits = [rec["fitness"] for rec in group]
+        best = max(best, *fits)
+        rows.append((t, best, float(np.mean(fits))))
+    return rows
+
+
+def _cut_trace(trace_path, iteration) -> list:
     """Truncate the trace after its last whole line of an iteration <=
-    ``iteration``; lines are in iteration order."""
+    ``iteration`` and return the records it keeps; lines are in iteration
+    order."""
+    records: list = []
     if trace_path is None or not os.path.exists(trace_path):
-        return
+        return records
     keep = 0
     with open(trace_path, "rb") as fh:
         for line in fh:
             try:
-                if not line.endswith(b"\n") or json.loads(line)["iteration"] > iteration:
+                if not line.endswith(b"\n"):
                     break
+                record = json.loads(line)
             except ValueError:  # a line torn by a crash mid-append
                 break
+            if record["iteration"] > iteration:
+                break
+            records.append(record)
             keep += len(line)
     os.truncate(trace_path, keep)
+    return records
 
 
 def _append_trace(trace_path, records) -> None:
@@ -317,41 +332,29 @@ def _append_trace(trace_path, records) -> None:
 class ProxyFitnessEvaluator:
     """Fitness of a structure: best test accuracy over a short fresh train.
 
-    Deterministic: the training seed is derived from the evaluator seed and
-    the structure itself, so a structure's fitness does not depend on when
-    or how often it is evaluated. Results are cached per structure.
+    ``config`` is the proxy training's TrainConfig. Deterministic: each
+    training's seed is derived from ``config.seed`` and the structure itself,
+    so a structure's fitness does not depend on when or how often it is
+    evaluated. Results are cached per structure.
     """
 
     def __init__(self, template, train_images, train_labels, test_images,
-                 test_labels, proxy_epochs=2, seed=0, batch_size=128,
-                 initial_lr=0.1, lr_drops=((0.5, 10.0), (0.75, 10.0)),
-                 momentum=0.9, weight_decay=1e-4):
-        from .nncore import TrainConfig  # deferred: keeps module import light
-        if proxy_epochs < 1:
-            raise BoundsError(f"proxy_epochs must be >= 1, got {proxy_epochs}")
+                 test_labels, config):
+        if config.epochs < 1:
+            raise BoundsError(f"proxy_epochs must be >= 1, got {config.epochs}")
         self.template = template
         self.data = (train_images, train_labels, test_images, test_labels)
-        self.proxy_epochs = int(proxy_epochs)
-        self.seed = int(seed)
-        self._cfg_kwargs = dict(epochs=self.proxy_epochs, batch_size=batch_size,
-                                initial_lr=initial_lr, lr_drops=tuple(lr_drops),
-                                momentum=momentum, weight_decay=weight_decay)
-        self._train_config_cls = TrainConfig
+        self.config = config
         self.cache: dict = {}
-        self.evaluations = 0
 
     def evaluate(self, structure) -> float:
         key = tuple(int(v) for v in structure)
         if key in self.cache:
             return self.cache[key]
-        from .nncore import Network, train
-        run_seed = derive_seed(self.seed, "proxy", *key)
+        run_seed = derive_seed(self.config.seed, "proxy", *key)
         pruned = archspec.instantiate(self.template, key)
-        net = Network(pruned, seed=derive_seed(run_seed, "init"))
-        cfg = self._train_config_cls(seed=run_seed, **self._cfg_kwargs)
-        tr_x, tr_y, te_x, te_y = self.data
-        history = train(net, tr_x, tr_y, te_x, te_y, cfg)
+        net = nncore.Network(pruned, seed=derive_seed(run_seed, "init"))
+        history = nncore.train(net, *self.data, replace(self.config, seed=run_seed))
         fitness = max(h.test_accuracy for h in history)
         self.cache[key] = fitness
-        self.evaluations += 1
         return fitness

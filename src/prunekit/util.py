@@ -64,12 +64,3 @@ def write_bytes_atomic(path, data: bytes) -> None:
 
 def write_text_atomic(path, text: str) -> None:
     _atomic_write(path, text.encode("utf-8"))
-
-
-def write_json_atomic(path, obj, indent: int = 2) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=indent) + "\n").encode("utf-8"))
-
-
-def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -62,3 +62,18 @@ def test_report_renders_a_finished_run(tmp_path, capsys):
     assert cli.main(["report", "--config", config, "--out", out]) == 0
     assert capsys.readouterr().out == table
     assert sorted(os.listdir(os.path.join(out, run_dir))) == before
+
+
+def test_torn_coarse_json_on_resume_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    config = write_config(tmp_path, SMALL_RUN)
+    assert cli.main(["coarse", "--config", config, "--out", out]) == 0
+    (run_dir,) = os.listdir(out)
+    coarse = os.path.join(out, run_dir, "coarse.json")
+    with open(coarse, "r+") as fh:
+        fh.truncate(len(fh.read()) // 2)
+    capsys.readouterr()
+    assert cli.main(["coarse", "--config", config, "--out", out, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coarse stage: reused ")
+    assert coarse in err

@@ -234,6 +234,33 @@ class TestRerun:
             assert [line.split(",")[0] for line in lines[1:]] == \
                 [str(e) for e in range(epochs)], name
 
+class TestResumedSearch:
+    def test_search_json_matches_uninterrupted_run(self, tmp_path, monkeypatch):
+        """A search that crashed at a swarm_state.json write and was resumed
+        writes the same search.json as one that never stopped."""
+        import dataclasses
+        config = dataclasses.replace(
+            desk_experiment_config(tmp_path / "full"), baseline_epochs=1,
+            swarm=SwarmConfig(particles=3, iterations=4, proxy_epochs=1))
+        pipeline.run(config, through="search")
+        crashed = dataclasses.replace(config, out_dir=str(tmp_path / "crashed"))
+        write = pipeline.swarm.write_text_atomic
+
+        def crash_at_iteration_2(path, text):
+            if json.loads(text)["iteration"] == 2:
+                raise OSError("synthetic crash")
+            write(path, text)
+        monkeypatch.setattr(pipeline.swarm, "write_text_atomic", crash_at_iteration_2)
+        with pytest.raises(OSError, match="synthetic crash"):
+            pipeline.run(crashed, through="search")
+        monkeypatch.setattr(pipeline.swarm, "write_text_atomic", write)
+        pipeline.run(crashed, resume=True, through="search")
+        for name in ("search.json", "swarm_trace.jsonl"):
+            with open(os.path.join(config.run_dir(), name), "rb") as fa, \
+                    open(os.path.join(crashed.run_dir(), name), "rb") as fb:
+                assert fb.read() == fa.read(), name
+
+
 class TestFailureRecording:
     def test_input_shape_mismatch_rejected_up_front(self, tmp_path):
         import dataclasses
@@ -319,6 +346,29 @@ class TestResumeChecks:
                 rf"retrain stage: reused .*retrain\.json: width 999 of slot 0 "
                 rf"is outside \[1, {run.template.original_structure()[0]}\]")):
             run.stage_retrain(None, resume=True)
+
+    @pytest.mark.parametrize("stage,name,text", [
+        ("baseline", "baseline.json", "{"),
+        ("coarse", "coarse.json", "{"),
+        ("coarse", "coarse.json", '{"structur": [1, 1, 1, 1]}'),
+        ("search", "search.json", "{"),
+        ("search", "search.json", '{"structure": [1, 1, 1, 1]}'),
+        ("retrain", "retrain.json", "{"),
+        ("retrain", "retrain.json", '{"best": [1, 1, 1, 1]}'),
+    ])
+    def test_malformed_artifact_names_stage_and_file(self, tmp_path, stage, name, text):
+        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
+        with open(run.path(name), "w") as fh:
+            fh.write(text)
+        for ckpt in ("baseline.ckpt", "final.ckpt"):
+            open(run.path(ckpt), "wb").close()
+        call = {"baseline": lambda: run.stage_baseline(),
+                "coarse": lambda: run.stage_coarse(None, resume=True),
+                "search": lambda: run.stage_search(None, resume=True),
+                "retrain": lambda: run.stage_retrain(None, resume=True)}[stage]
+        with pytest.raises(PruneKitError, match=rf"{stage} stage: reused .*{name}"):
+            call()
+        assert RunReport.load(run.path("report.json")).failed_stage == stage
 
     def test_valid_artifacts_are_reused(self, tmp_path):
         run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))

@@ -6,6 +6,7 @@ import pytest
 from prunekit import swarm as swarm_module
 from prunekit.archspec import NetworkStructure, tiny4
 from prunekit.errors import BoundsError, PruneKitError
+from prunekit.nncore import TrainConfig
 from prunekit.swarm import (
     GBEST_IMMEDIATE,
     Particle,
@@ -395,6 +396,8 @@ class TestSearch:
 
         assert tuple(resumed.best) == tuple(full.best)
         assert resumed.best_fitness == full.best_fitness
+        assert resumed.history == full.history
+        assert resumed.trace == full.trace
         assert (tmp_path / "part_trace.jsonl").read_bytes() == \
             (tmp_path / "full_trace.jsonl").read_bytes()
 
@@ -475,7 +478,7 @@ def proxy_evaluator(blob_sets):
     return ProxyFitnessEvaluator(
         template, train_set.images, train_set.labels,
         test_set.images, test_set.labels,
-        proxy_epochs=1, seed=derive_seed(0, "proxy"))
+        TrainConfig(epochs=1, seed=derive_seed(0, "proxy")))
 
 
 class TestProxyFitness:
@@ -488,7 +491,7 @@ class TestProxyFitness:
             ev = ProxyFitnessEvaluator(
                 template, train_set.images, train_set.labels,
                 test_set.images, test_set.labels,
-                proxy_epochs=1, seed=derive_seed(0, "proxy"))
+                TrainConfig(epochs=1, seed=derive_seed(0, "proxy")))
             values.append(ev.evaluate(structure))
         assert values[0] == values[1]
 
@@ -507,7 +510,7 @@ class TestProxyFitness:
             return ProxyFitnessEvaluator(
                 template, train_set.images, train_set.labels,
                 test_set.images, test_set.labels,
-                proxy_epochs=1, seed=derive_seed(0, "proxy"))
+                TrainConfig(epochs=1, seed=derive_seed(0, "proxy")))
 
         a, b = NetworkStructure((4, 8, 8, 16)), NetworkStructure((6, 12, 12, 24))
         ev1, ev2 = fresh(), fresh()

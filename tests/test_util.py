@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from prunekit.util import (
     canonical_json,
     derive_seed,
-    read_json,
     round_half_away,
     round_half_even,
-    write_json_atomic,
     write_text_atomic,
 )
 
@@ -68,13 +66,6 @@ class TestAtomicWrites:
         path = tmp_path / "x.txt"
         write_text_atomic(path, "hello\n")
         assert path.read_text() == "hello\n"
-
-    def test_json_roundtrip(self, tmp_path):
-        path = tmp_path / "x.json"
-        payload = {"a": [1, 2], "b": "z"}
-        write_json_atomic(path, payload)
-        assert read_json(path) == payload
-        assert path.read_text().endswith("\n")
 
     def test_overwrite_replaces_whole_file(self, tmp_path):
         path = tmp_path / "x.txt"
