@@ -142,15 +142,17 @@ def coarse_prune(template: archspec.ArchTemplate, net, sample_images: np.ndarray
     slots = template.prunable_slots
     sums = {}
     n_total = sample_images.shape[0]
+
+    def accumulate(slot, maps):
+        # summed as the forward produces it, so no map outlives its layer
+        acc = maps.sum(axis=0, dtype=np.float64)
+        if slot in sums:
+            sums[slot] += acc
+        else:
+            sums[slot] = acc
+
     for start in range(0, n_total, batch_size):
-        batch = sample_images[start:start + batch_size]
-        _, captured = net.forward(batch, train=False, capture=True)
-        for slot in slots:
-            acc = captured[slot].sum(axis=0, dtype=np.float64)
-            if slot in sums:
-                sums[slot] += acc
-            else:
-                sums[slot] = acc
+        net.forward(sample_images[start:start + batch_size], train=False, capture=accumulate)
     counts = []
     reports = []
     for slot in slots:

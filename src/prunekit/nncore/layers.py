@@ -72,6 +72,33 @@ def col2im(dcols, x_shape, kh, kw, stride, padding):
     return dx.transpose(3, 0, 1, 2)
 
 
+class Workspace:
+    """One scratch buffer that grows to the largest request and is never
+    freed, so repeated calls reuse its pages instead of faulting in fresh ones.
+
+    ``take`` hands out the buffer's leading bytes as an array of the given
+    shape and dtype; each call may overwrite what the previous one handed
+    out, so a caller uses one block at a time and keeps nothing in it past
+    its own call. The one ``WORKSPACE`` below is shared by every ``Conv`` of
+    every ``Network`` in the process; nothing here runs on more than one
+    thread.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0, dtype=np.uint8)
+
+    def take(self, shape, dtype):
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        if self._buf.size < nbytes:
+            self._buf = None  # the old buffer goes before the new one comes
+            self._buf = np.empty(nbytes, dtype=np.uint8)
+        return self._buf[:nbytes].view(dtype).reshape(shape)
+
+
+WORKSPACE = Workspace()
+
+
 class Layer:
     """Base: parameterless, cache-free passthrough.
 
@@ -91,6 +118,11 @@ class Layer:
     def grads(self) -> dict:
         return {}
 
+    def release_grads(self) -> None:
+        """Drop the parameter gradients; parameter ``p``'s is held as ``d_p``."""
+        for name in self.params():
+            setattr(self, f"d_{name}", None)
+
     def state(self) -> dict:
         return self.params()
 
@@ -103,7 +135,7 @@ class Conv(Layer):
     of output rows at a time, each band's columns taking at most BAND_BYTES
     (or one row, if that is larger). A training forward whose columns fit one
     band keeps them for backward; otherwise it keeps its input, and backward
-    unfolds the whole batch again."""
+    works from that one kernel offset at a time."""
 
     # The vgg16 capture forward runs as fast with 512 KiB as with 8 MiB. A
     # budget under 7 MB would also split tiny4's batch-256 evaluation, and
@@ -128,11 +160,16 @@ class Conv(Layer):
         out, out_h, out_w, cols = self._forward_bands(x, self.weight.reshape(out_c, -1))
         if train:
             # columns that fit one band are kept for backward; larger ones
-            # are rebuilt there from the input, which is far smaller
+            # are never formed whole, and backward works from the input
             self._cache = (x.shape, x if cols is None else None, cols)
         if self.bias is not None:
             out += self.bias[:, None]
         return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
+
+    def _out_size(self, h, w):
+        kh, kw = self.weight.shape[2:]
+        p, s = self.padding, self.stride
+        return (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
 
     def _forward_bands(self, x, w2d):
         """``w2d @ im2col(x)`` a band of output rows at a time: each band's
@@ -142,15 +179,18 @@ class Conv(Layer):
         band held them all (else None)."""
         n, _, h, w = x.shape
         kh, kw = self.weight.shape[2:]
-        p = self.padding
-        out_h = (h + 2 * p - kh) // self.stride + 1
-        out_w = (w + 2 * p - kw) // self.stride + 1
-        if p:
-            x = _pad(x.transpose(1, 2, 3, 0), p).transpose(3, 0, 1, 2)
+        out_h, out_w = self._out_size(h, w)
+        if self.padding:
+            x = _pad(x.transpose(1, 2, 3, 0), self.padding).transpose(3, 0, 1, 2)
         per_row = out_w * n               # output columns per output row
         row = w2d.shape[1] * per_row      # column elements per output row
         band = max(1, min(out_h, self.BAND_BYTES // (row * x.itemsize)))
-        block = np.empty(band * row, dtype=x.dtype)
+        # one band's columns may become the cache, so only a block reused
+        # across bands comes from the shared workspace
+        if band == out_h:
+            block = np.empty(band * row, dtype=x.dtype)
+        else:
+            block = WORKSPACE.take(band * row, x.dtype)
         out = np.empty((w2d.shape[0], out_h * per_row), dtype=np.result_type(w2d, x))
         for r0 in range(0, out_h, band):
             r1 = min(r0 + band, out_h)
@@ -162,18 +202,66 @@ class Conv(Layer):
         x_shape, x, cols = self._cache
         self._cache = None
         out_c, _, kh, kw = self.weight.shape
-        if cols is None:
-            cols, _, _ = im2col(x, kh, kw, self.stride, self.padding)
-        del x
         dflat = dout.transpose(1, 2, 3, 0).reshape(out_c, -1)
-        self.d_weight = (dflat @ cols.T).reshape(self.weight.shape)
         if self.bias is not None:
             self.d_bias = dflat.sum(axis=1)
+        if cols is None:
+            dtype = x.dtype
+            self._weight_grad_by_offset(x, dflat)
+            del x
+            return self._input_grad_by_offset(x_shape, dtype, dflat) if input_grad else None
+        self.d_weight = (dflat @ cols.T).reshape(self.weight.shape)
         if not input_grad:
             return None
         # the weight gradient was the columns' last use
         dcols = np.matmul(self.weight.reshape(out_c, -1).T, dflat, out=cols)
         return col2im(dcols, x_shape, kh, kw, self.stride, self.padding)
+
+    # Without kept columns, backward works one kernel offset (i, j) at a time
+    # (the kn2row split). An offset's window of the padded input is one
+    # (C, out_h*out_w*N) row block of the im2col columns, and it is formed in
+    # one block of the shared workspace. Every GEMM keeps the inner dimension
+    # of the whole-batch product, and the input gradient is scattered in
+    # col2im's (i, j) order, so the values are the kept-columns path's.
+
+    def _offsets(self, out_h, out_w):
+        """(i, j, index of the offset's window in the padded input), in
+        col2im's order."""
+        kh, kw = self.weight.shape[2:]
+        s = self.stride
+        return [(i, j, np.s_[:, i:i + s * out_h:s, j:j + s * out_w:s])
+                for i, j in np.ndindex(kh, kw)]
+
+    def _weight_grad_by_offset(self, x, dflat):
+        n, in_c, h, w = x.shape
+        out_c, _, kh, kw = self.weight.shape
+        out_h, out_w = self._out_size(h, w)
+        xpad = x.transpose(1, 2, 3, 0)
+        if self.padding:
+            xpad = _pad(xpad, self.padding)
+        block = WORKSPACE.take((in_c, out_h, out_w, n), x.dtype)
+        flat = block.reshape(in_c, -1)
+        # held as (kh, kw, O, C), so each offset's GEMM fills a contiguous
+        # slab; the gradient is its (O, C, kh, kw) view
+        d_weight = np.empty((kh, kw, out_c, in_c), dtype=np.result_type(dflat, x))
+        for i, j, window in self._offsets(out_h, out_w):
+            block[...] = xpad[window]
+            np.matmul(dflat, flat.T, out=d_weight[i, j])
+        self.d_weight = d_weight.transpose(2, 3, 0, 1)
+
+    def _input_grad_by_offset(self, x_shape, dtype, dflat):
+        n, in_c, h, w = x_shape
+        p = self.padding
+        out_h, out_w = self._out_size(h, w)
+        block = WORKSPACE.take((in_c, out_h, out_w, n), dtype)
+        flat = block.reshape(in_c, -1)
+        dx = np.zeros((in_c, h + 2 * p, w + 2 * p, n), dtype=dtype)
+        for i, j, window in self._offsets(out_h, out_w):
+            np.matmul(np.ascontiguousarray(self.weight[:, :, i, j]).T, dflat, out=flat)
+            dx[window] += block
+        if p:
+            dx = dx[:, p:-p, p:-p]
+        return dx.transpose(3, 0, 1, 2)
 
     def params(self):
         p = {"weight": self.weight}

@@ -101,20 +101,26 @@ class Network:
             )
 
     def forward(self, x, train=False, capture=False, update_stats=None):
-        """Run the network. With ``capture`` also returns {slot: feature map}."""
+        """Run the network. With ``capture`` also returns {slot: feature map}.
+
+        ``capture`` may instead be a callable: it is handed each (slot,
+        feature map) as the map is produced, nothing is kept, and only the
+        output is returned.
+        """
         self._check_input(x)
         # held batch-innermost from here on; see nncore.layers
         x = np.ascontiguousarray(x.transpose(1, 2, 3, 0), dtype=self.dtype).transpose(3, 0, 1, 2)
         captured = {}
-        capture_at = {v: k for k, v in self._capture_points.items()} if capture else {}
+        sink = captured.__setitem__ if capture is True else capture
+        capture_at = {v: k for k, v in self._capture_points.items()} if sink else {}
         for idx, layer in enumerate(self.layers):
             if isinstance(layer, L.BatchNorm):
                 x = layer.forward(x, train, update_stats)
             else:
                 x = layer.forward(x, train)
             if idx in capture_at:
-                captured[capture_at[idx]] = x
-        if capture:
+                sink(capture_at[idx], x)
+        if capture is True:
             return x, captured
         return x
 
@@ -157,6 +163,13 @@ class Network:
             for name, arr in layer.grads().items():
                 out[f"layer{idx:02d}.{name}"] = arr
         return out
+
+    def take_grads(self) -> dict[str, np.ndarray]:
+        """``grads()``, after which no layer holds them."""
+        grads = self.grads()
+        for layer in self.layers:
+            layer.release_grads()
+        return grads
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Parameters plus batchnorm running statistics, for checkpointing."""

@@ -81,6 +81,19 @@ def evaluate(net, images, labels, batch_size=256) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
+def _sgd_update(net, velocity, lr, config: TrainConfig) -> None:
+    """One momentum step from the gradients of the last backward. The layers
+    give the gradients up, and they die with this call, so none sits under
+    the next forward or outlives training."""
+    grads = net.take_grads()
+    for name, w in net.params().items():
+        g = grads[name] + config.weight_decay * w
+        v = velocity[name]
+        v *= config.momentum
+        v -= lr * g
+        w += v
+
+
 def train(net, train_images, train_labels, test_images, test_labels,
           config: TrainConfig, trace_path=None, callback=None):
     """Train in place; returns the list of per-epoch EpochStats.
@@ -113,13 +126,7 @@ def train(net, train_images, train_labels, test_images, test_labels,
                 if not np.isfinite(loss):
                     raise TrainingDiverged(epoch, bi, loss)
                 losses.append(loss)
-                params, grads = net.params(), net.grads()
-                for name, w in params.items():
-                    g = grads[name] + config.weight_decay * w
-                    v = velocity[name]
-                    v *= config.momentum
-                    v -= lr * g
-                    w += v
+                _sgd_update(net, velocity, lr, config)
             acc = evaluate(net, test_images, test_labels)
             stats = EpochStats(epoch, lr, float(np.mean(losses)), acc)
             history.append(stats)

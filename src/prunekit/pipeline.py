@@ -247,16 +247,16 @@ class ExperimentRun:
             **fields)
 
     def _stage(self, stage, artifact, compute, reuse, checkpoint=None, net=None,
-               widths=None) -> dict:
+               widths=None, keys=()) -> dict:
         """Run one stage: reuse its checked artifact, or compute it and write it.
 
         With ``reuse`` set, an existing ``artifact`` (plus its ``checkpoint``,
         for a stage that writes one) is read back, ``net`` gets the
-        checkpoint's weights, and the width vector under the key ``widths``
-        must hold one width per prunable slot, each within [1, original].
-        Otherwise the dict ``compute()`` returns is written atomically. The
-        stage is timed, and a failure is recorded in report.json before it
-        propagates.
+        checkpoint's weights, the width vector under the key ``widths`` must
+        hold one width per prunable slot, each within [1, original], and
+        every key in ``keys`` must be present. Otherwise the dict
+        ``compute()`` returns is written atomically. The stage is timed, and
+        a failure is recorded in report.json before it propagates.
         """
         start = time.perf_counter()
         try:
@@ -282,6 +282,9 @@ class ExperimentRun:
                         if type(width) is not int or not 1 <= width <= bound:
                             raise PruneKitError(
                                 f"{where}: width {width} of slot {slot} is outside [1, {bound}]")
+                for key in keys:
+                    if not isinstance(saved, dict) or key not in saved:
+                        raise PruneKitError(f"{where} has no {key!r} field")
                 if net is not None:
                     load_model(ckpt, net)
             else:
@@ -315,7 +318,8 @@ class ExperimentRun:
                 "weight_init": "kaiming-fan-in",
             }
         meta = self._stage("baseline", "baseline.json", compute, reuse=True,
-                           checkpoint="baseline.ckpt", net=net)
+                           checkpoint="baseline.ckpt", net=net,
+                           keys=("accuracy", "params", "flops", "epochs"))
         return net, meta
 
     # -- stage 2 ------------------------------------------------------------
@@ -391,7 +395,8 @@ class ExperimentRun:
                 "retrain_epochs": epochs,
             }
         return self._stage("retrain", "retrain.json", compute, resume,
-                           checkpoint="final.ckpt", widths="structure")
+                           checkpoint="final.ckpt", widths="structure",
+                           keys=("accuracy", "params", "flops", "retrain_epochs"))
 
     # -- stage 5 ------------------------------------------------------------
     def stage_report(self, baseline_meta, coarse_saved, retrain_saved):

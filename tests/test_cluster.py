@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from prunekit.cluster import (
     coarse_prune,
     dbscan,
 )
+from prunekit.archspec import LayerDef, assemble
 from prunekit.errors import BoundsError, StructureError
 from prunekit.featstats import distance_matrix, mean_maps, similarity
+from prunekit.nncore import Network
 from prunekit.util import derive_seed
 
 
@@ -230,3 +234,28 @@ class TestCoarsePrune:
         structure, _ = coarse_prune(
             template, net, train_set.images[:48], NeighborhoodParams(1e-6, 2))
         assert list(structure.channels) == list(template.original_structure().channels)
+
+
+class TestCoarsePruneMemory:
+    def test_peak_under_one_batch_of_captured_maps(self):
+        # twelve 1x1 conv slots: each slot's map is as large as its conv's
+        # columns, so a pass that keeps every map of a batch peaks above
+        # them all, and one that sums each map as it comes stays far below
+        defs = []
+        for _ in range(12):
+            defs += [LayerDef("conv", out_channels=8), LayerDef("activation")]
+        template = assemble("pointwise12", (8, 16, 16), 2, defs + [LayerDef("classifier-head")])
+        net = Network(template, seed=0)
+        images = np.random.default_rng(0).normal(size=(64, 8, 16, 16)).astype(np.float32)
+        batch = 32
+        captured = len(template.prunable_slots) * batch * 8 * 16 * 16 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            structure, _ = coarse_prune(template, net, images, NeighborhoodParams(0.05, 3),
+                                        batch_size=batch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(structure.channels) == 12
+        assert peak < captured

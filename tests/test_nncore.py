@@ -308,6 +308,71 @@ class TestTrainConvBands:
         assert held < col_bytes / 2
         assert out.shape == (8, 8, 16, 16)
 
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0)])
+    def test_offset_path_equals_kept_columns_float32(self, stride, padding, monkeypatch):
+        # float32 at batch 32, as in a vgg training step; the float64 case is
+        # test_rebuilt_columns_match_oracle_and_one_band
+        rng = np.random.default_rng(80 + stride * 10 + padding)
+        conv = Conv(16, 32, (3, 3), stride, padding, True, rng, np.float32)
+        x = batch_innermost(rng.normal(size=(32, 16, 16, 16)).astype(np.float32))
+        dout = batch_innermost(
+            rng.normal(size=conv.forward(x, train=False).shape).astype(np.float32))
+
+        def step():
+            conv.forward(x, train=True)
+            kept = conv._cache[2] is not None
+            dx = conv.backward(dout)
+            return kept, conv.d_weight.copy(), conv.d_bias.copy(), dx
+
+        kept, *columns = step()
+        assert kept
+        monkeypatch.setattr(Conv, "BAND_BYTES", 1)
+        kept, *offsets = step()
+        assert not kept
+        for got, want in zip(offsets, columns):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+
+    def test_offset_backward_holds_a_fraction_of_the_columns(self, monkeypatch):
+        rng = np.random.default_rng(90)
+        conv = Conv(16, 16, (3, 3), 1, 1, True, rng, np.float32)
+        x = batch_innermost(rng.normal(size=(16, 16, 16, 16)).astype(np.float32))
+        dout = batch_innermost(rng.normal(size=x.shape).astype(np.float32))
+        col_bytes = 16 * 9 * 16 * 16 * 16 * 4
+        monkeypatch.setattr(Conv, "BAND_BYTES", col_bytes // 8)
+        conv.forward(x, train=True)
+        assert conv._cache[2] is None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dx = conv.backward(dout)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the padded input, one offset's block and the input gradient, each
+        # about a ninth of the columns
+        assert peak < col_bytes / 2
+        assert dx.shape == x.shape
+
+    def test_gradients_do_not_alias_the_workspace(self, monkeypatch):
+        monkeypatch.setattr(Conv, "BAND_BYTES", 1)
+        rng = np.random.default_rng(100)
+        runs = []
+        for template in (two_conv_template(), small_conv_template()):
+            net = Network(template, seed=1)
+            conv = net.layers[0]
+            n, shape = 4, template.input_shape
+            x = batch_innermost(rng.normal(size=(n, *shape)).astype(np.float32))
+            out = conv.forward(x, train=True)
+            assert conv._cache[2] is None
+            dx = conv.backward(np.ones_like(out))
+            runs.append((conv.d_weight, dx, conv.d_weight.copy(), dx.copy()))
+        for d_weight, dx, d_weight_then, dx_then in runs:
+            assert not np.shares_memory(d_weight, layers.WORKSPACE._buf)
+            assert not np.shares_memory(dx, layers.WORKSPACE._buf)
+            np.testing.assert_array_equal(d_weight, d_weight_then)
+            np.testing.assert_array_equal(dx, dx_then)
+
     def test_tiny4_training_convs_keep_their_columns(self):
         t = archspec.tiny4(num_classes=3)
         net = Network(t, seed=0)
@@ -605,6 +670,14 @@ class TestTrain:
         a, b = runs
         assert [(s.train_loss, s.test_accuracy) for s in a] == \
                [(s.train_loss, s.test_accuracy) for s in b]
+
+    def test_no_layer_holds_a_gradient_after_training(self):
+        images, labels = separable_toy_set(n=32)
+        net = Network(small_conv_template(), seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=16, lr_drops=(), seed=0)
+        train(net, images, labels, images, labels, cfg)
+        grads = net.grads()
+        assert grads and all(g is None for g in grads.values())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_batch_index(self):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -369,6 +370,25 @@ class TestResumeChecks:
         with pytest.raises(PruneKitError, match=rf"{stage} stage: reused .*{name}"):
             call()
         assert RunReport.load(run.path("report.json")).failed_stage == stage
+
+    @pytest.mark.parametrize("name,key", [("retrain.json", "accuracy"),
+                                          ("baseline.json", "epochs")])
+    def test_reused_artifact_missing_a_report_field(self, desk_run_pair, tmp_path,
+                                                    name, key):
+        finished = desk_run_pair["config_a"]
+        config = desk_experiment_config(tmp_path / "copy")
+        shutil.copytree(finished.run_dir(), config.run_dir())
+        path = os.path.join(config.run_dir(), name)
+        with open(path) as fh:
+            saved = json.load(fh)
+        del saved[key]
+        with open(path, "w") as fh:
+            json.dump(saved, fh)
+        stage = name.split(".")[0]
+        with pytest.raises(PruneKitError, match=rf"{stage} stage: reused .*{name}.*{key}"):
+            pipeline.run(config, resume=True)
+        report = RunReport.load(os.path.join(config.run_dir(), "report.json"))
+        assert report.failed_stage == stage
 
     def test_valid_artifacts_are_reused(self, tmp_path):
         run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
