@@ -137,10 +137,10 @@ class Conv(Layer):
     band keeps them for backward; otherwise it keeps its input, and backward
     works from that one kernel offset at a time."""
 
-    # The vgg16 capture forward runs as fast with 512 KiB as with 8 MiB. A
-    # budget under 7 MB would also split tiny4's batch-256 evaluation, and
-    # without that one large buffer glibc's dynamic mmap threshold stays low:
-    # the training steps that follow then take ~2000 fresh-page faults each.
+    # The vgg16 capture forward runs as fast with 512 KiB as with 8 MiB. At
+    # 8 MiB every tiny4 conv fits one band at the desk batch sizes, so desk
+    # training keeps its columns: the offset backward sums tiny4's small
+    # products in another order, which would change the desk run's values.
     BAND_BYTES = 1 << 23
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, bias, rng, dtype):
@@ -208,7 +208,7 @@ class Conv(Layer):
         if cols is None:
             dtype = x.dtype
             self._weight_grad_by_offset(x, dflat)
-            del x
+            del x  # the input gradient needs only the input's shape
             return self._input_grad_by_offset(x_shape, dtype, dflat) if input_grad else None
         self.d_weight = (dflat @ cols.T).reshape(self.weight.shape)
         if not input_grad:

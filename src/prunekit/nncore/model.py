@@ -164,13 +164,6 @@ class Network:
                 out[f"layer{idx:02d}.{name}"] = arr
         return out
 
-    def take_grads(self) -> dict[str, np.ndarray]:
-        """``grads()``, after which no layer holds them."""
-        grads = self.grads()
-        for layer in self.layers:
-            layer.release_grads()
-        return grads
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Parameters plus batchnorm running statistics, for checkpointing."""
         out = {}

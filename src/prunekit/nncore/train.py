@@ -85,7 +85,9 @@ def _sgd_update(net, velocity, lr, config: TrainConfig) -> None:
     """One momentum step from the gradients of the last backward. The layers
     give the gradients up, and they die with this call, so none sits under
     the next forward or outlives training."""
-    grads = net.take_grads()
+    grads = net.grads()
+    for layer in net.layers:
+        layer.release_grads()
     for name, w in net.params().items():
         g = grads[name] + config.weight_decay * w
         v = velocity[name]
