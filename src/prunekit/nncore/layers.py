@@ -73,8 +73,9 @@ def col2im(dcols, x_shape, kh, kw, stride, padding):
 
 
 class Workspace:
-    """One scratch buffer that grows to the largest request and is never
-    freed, so repeated calls reuse its pages instead of faulting in fresh ones.
+    """One scratch buffer that grows to the largest request and is freed only
+    to grow, so repeated calls reuse its pages instead of faulting in fresh
+    ones.
 
     ``take`` hands out the buffer's leading bytes as an array of the given
     shape and dtype; each call may overwrite what the previous one handed

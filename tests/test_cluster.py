@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import dbscan_reference, partition_signature, random_distance_matrix
 
+from prunekit.archspec import LayerDef, assemble
 from prunekit.cluster import (
     NOISE,
     ClusterAssignment,
@@ -15,7 +16,6 @@ from prunekit.cluster import (
     coarse_prune,
     dbscan,
 )
-from prunekit.archspec import LayerDef, assemble
 from prunekit.errors import BoundsError, StructureError
 from prunekit.featstats import distance_matrix, mean_maps, similarity
 from prunekit.nncore import Network
