@@ -124,19 +124,32 @@ class Network:
             return x, captured
         return x
 
-    def backward(self, dlogits) -> None:
+    def backward(self, dlogits, update=None) -> None:
         """Set every layer's parameter gradients from ``dlogits``. Nothing
         reads the gradient with respect to the network input, so the first
-        layer does not form it."""
-        d = dlogits
-        for layer in reversed(self.layers[1:]):
-            d = layer.backward(d)
-        self.layers[0].backward(d, input_grad=False)
+        layer does not form it.
 
-    def loss_and_grads(self, x, labels, loss="xent", train=True, update_stats=None):
+        ``update``, when given, is called with each layer as soon as that
+        layer's backward returns. The layer has then used its parameters, and
+        no earlier layer's backward reads them, so the callable may change
+        them and take the gradients away without changing any value.
+        """
+        d = dlogits
+        for idx in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[idx]
+            d = layer.backward(d, input_grad=idx > 0)
+            if update is not None:
+                update(layer)
+
+    def loss_and_grads(self, x, labels, loss="xent", train=True, update_stats=None,
+                       update=None):
+        """Forward, loss and backward; returns the loss. ``update`` is handed
+        to ``backward``. A non-finite loss runs no backward, so it sets no
+        gradient and no ``update`` runs."""
         logits = self.forward(x, train=train, update_stats=update_stats)
         value, dlogits = _loss_fn(loss, logits, labels, self.template.num_classes)
-        self.backward(dlogits)
+        if np.isfinite(value):
+            self.backward(dlogits, update)
         return value
 
     def loss_only(self, x, labels, loss="xent", train=True, update_stats=None):

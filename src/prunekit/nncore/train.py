@@ -81,18 +81,21 @@ def evaluate(net, images, labels, batch_size=256) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def _sgd_update(net, velocity, lr, config: TrainConfig) -> None:
-    """One momentum step from the gradients of the last backward. The layers
-    give the gradients up, and they die with this call, so none sits under
-    the next forward or outlives training."""
-    grads = net.grads()
-    for layer in net.layers:
-        layer.release_grads()
-    for name, w in net.params().items():
-        g = grads[name] + config.weight_decay * w
+def _sgd_update(layer, velocity, lr, config: TrainConfig) -> None:
+    """One momentum step of ``layer``'s parameters, run as soon as its backward
+    returns. The layer gives its gradients up, and the step works in place in
+    them, so no gradient outlives its own layer's update: a training step
+    holds one layer's gradients at a time. ``g += wd * w`` then ``g *= lr``
+    round as ``lr * (g + wd * w)`` does, and only ``wd * w`` is allocated."""
+    grads = layer.grads()
+    layer.release_grads()
+    for name, w in layer.params().items():
+        g = grads[name]
+        g += config.weight_decay * w
+        g *= lr
         v = velocity[name]
         v *= config.momentum
-        v -= lr * g
+        v -= g
         w += v
 
 
@@ -106,7 +109,8 @@ def train(net, train_images, train_labels, test_images, test_labels,
     """
     rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     n = train_images.shape[0]
-    velocity = {k: np.zeros_like(v) for k, v in net.params().items()}
+    velocity = {layer: {k: np.zeros_like(p) for k, p in layer.params().items()}
+                for layer in net.layers}
     history = []
 
     writer = None
@@ -123,12 +127,13 @@ def train(net, train_images, train_labels, test_images, test_labels,
             losses = []
             for bi, start in enumerate(range(0, n, config.batch_size)):
                 idx = order[start:start + config.batch_size]
-                loss = net.loss_and_grads(train_images[idx], train_labels[idx],
-                                          loss=config.loss, train=True)
+                # a non-finite loss runs no backward, so no layer updates
+                loss = net.loss_and_grads(
+                    train_images[idx], train_labels[idx], loss=config.loss, train=True,
+                    update=lambda layer: _sgd_update(layer, velocity[layer], lr, config))
                 if not np.isfinite(loss):
                     raise TrainingDiverged(epoch, bi, loss)
                 losses.append(loss)
-                _sgd_update(net, velocity, lr, config)
             acc = evaluate(net, test_images, test_labels)
             stats = EpochStats(epoch, lr, float(np.mean(losses)), acc)
             history.append(stats)

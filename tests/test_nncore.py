@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,10 @@ from prunekit.nncore import (
 from prunekit.nncore import layers
 from prunekit.nncore.layers import BatchNorm, Conv, Linear, MaxPool, ReLU, col2im, im2col
 from prunekit.nncore.model import cross_entropy
+from prunekit.util import derive_seed
+
+# the module, which the package's ``train`` function shadows
+train_module = importlib.import_module("prunekit.nncore.train")
 
 
 def small_conv_template(**kwargs):
@@ -660,16 +665,83 @@ class TestTrain:
         losses = [h.train_loss for h in history]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
-    def test_identical_seeds_give_bitwise_identical_traces(self):
+    @pytest.mark.parametrize("template", [toy_template, small_conv_template])
+    def test_identical_seeds_give_bitwise_identical_traces(self, template):
         images, labels = separable_toy_set()
         cfg = TrainConfig(epochs=6, batch_size=32, seed=42)
         runs = []
         for _ in range(2):
-            net = Network(toy_template(), seed=7)
+            net = Network(template(), seed=7)
             runs.append(train(net, images, labels, images, labels, cfg))
         a, b = runs
         assert [(s.train_loss, s.test_accuracy) for s in a] == \
                [(s.train_loss, s.test_accuracy) for s in b]
+
+    @pytest.mark.parametrize("band_bytes", [Conv.BAND_BYTES, 1])
+    def test_per_layer_update_equals_a_whole_network_update(self, band_bytes, monkeypatch):
+        # band_bytes 1 puts the conv on the offset backward, whose weight
+        # gradient is a transposed view the update works in
+        monkeypatch.setattr(Conv, "BAND_BYTES", band_bytes)
+        images, labels = separable_toy_set(n=48)
+        cfg = TrainConfig(epochs=2, batch_size=16, lr_drops=((0.5, 10.0),), seed=3)
+        net = Network(small_conv_template(), seed=4)
+        train(net, images, labels, images, labels, cfg)
+
+        # every gradient first, then lr * (g + wd * w) for every parameter
+        ref = Network(small_conv_template(), seed=4)
+        rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
+        velocity = {k: np.zeros_like(p) for k, p in ref.params().items()}
+        for epoch in range(cfg.epochs):
+            lr = lr_for_epoch(cfg, epoch)
+            order = rng.permutation(len(images))
+            for start in range(0, len(images), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                ref.loss_and_grads(images[idx], labels[idx])
+                grads = ref.grads()
+                for k, w in ref.params().items():
+                    v = velocity[k]
+                    v *= cfg.momentum
+                    v -= lr * (grads[k] + cfg.weight_decay * w)
+                    w += v
+        want = ref.state_arrays()
+        for k, got in net.state_arrays().items():
+            np.testing.assert_array_equal(got, want[k], err_msg=k)
+
+    def test_each_update_runs_when_no_later_layer_holds_a_gradient(self, monkeypatch):
+        images, labels = separable_toy_set(n=32)
+        net = Network(small_conv_template(), seed=0)
+        update = train_module._sgd_update
+        order = []
+
+        def checked(layer, *args):
+            k = net.layers.index(layer)
+            order.append(k)
+            assert all(g is not None for g in layer.grads().values())
+            for later in net.layers[k + 1:]:
+                assert all(g is None for g in later.grads().values())
+            update(layer, *args)
+
+        monkeypatch.setattr(train_module, "_sgd_update", checked)
+        cfg = TrainConfig(epochs=1, batch_size=16, lr_drops=(), seed=0)
+        train(net, images, labels, images, labels, cfg)
+        assert order == [4, 3, 2, 1, 0] * 2
+
+    def test_update_allocates_one_weight_sized_temporary(self):
+        rng = np.random.default_rng(0)
+        conv = Conv(512, 512, (3, 3), 1, 1, True, rng, np.float32)
+        conv.d_weight = rng.standard_normal(conv.weight.shape, dtype=np.float32)
+        conv.d_bias = rng.standard_normal(conv.bias.shape, dtype=np.float32)
+        velocity = {k: np.zeros_like(p) for k, p in conv.params().items()}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_module._sgd_update(conv, velocity, 0.1, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # wd * w; the step itself works in the released gradient
+        assert peak < 1.5 * conv.weight.nbytes
+        assert conv.d_weight is None and conv.d_bias is None
 
     def test_no_layer_holds_a_gradient_after_training(self):
         images, labels = separable_toy_set(n=32)
@@ -689,6 +761,34 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as err:
             train(net, images, labels, images, labels, cfg)
         assert err.value.batch_index >= 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_step_moves_no_parameter(self, monkeypatch):
+        images, labels = separable_toy_set(n=64)
+        net = Network(toy_template(), seed=2)
+        cfg = TrainConfig(epochs=50, batch_size=16, initial_lr=1e6,
+                          lr_drops=(), seed=0)
+        step = Network.loss_and_grads
+        before = []
+
+        def snapshot_then_step(self, *args, **kwargs):
+            before.append({k: v.copy() for k, v in self.params().items()})
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "loss_and_grads", snapshot_then_step)
+        with pytest.raises(TrainingDiverged):
+            train(net, images, labels, images, labels, cfg)
+        for k, v in net.params().items():
+            np.testing.assert_array_equal(v, before[-1][k], err_msg=k)
+
+    def test_bare_loss_and_grads_sets_every_gradient(self):
+        images, labels = separable_toy_set(n=8)
+        net = Network(small_conv_template(), seed=0)
+        net.loss_and_grads(images, labels)
+        grads, params = net.grads(), net.params()
+        assert grads.keys() == params.keys()
+        for k, g in grads.items():
+            assert g is not None and g.shape == params[k].shape, k
 
     def test_trace_csv_has_header_and_rows(self, tmp_path):
         images, labels = separable_toy_set(n=64)
