@@ -14,7 +14,8 @@ other, never at the same time.
 The file records both revisions, the environment the runs reported, every
 run's metrics and failed units, and per end-to-end metric of BENCHMARK.json
 each side's median and quartiles and how many pairs each side won (ties
-count for neither).
+count for neither). Every pair run counts: a side whose run printed no
+metrics loses that pair.
 """
 from __future__ import annotations
 
@@ -80,21 +81,38 @@ def summary(values: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def beats(x, y, lower: bool) -> bool:
+    """Whether value ``x`` wins its pair against ``y``. A missing value (its
+    run crashed or printed no metrics) loses to any value."""
+    if x is None:
+        return False
+    if y is None:
+        return True
+    return x < y if lower else x > y
+
+
 def compare(pairs: list, declared: list) -> dict:
-    """Per end-to-end metric: both sides' medians and quartiles, and wins."""
+    """Per end-to-end metric: both sides' medians and quartiles, and wins.
+
+    Every pair run counts. A side without the metric loses its pair; when
+    neither side has it the pair is a tie. The quartiles are over the values
+    that exist."""
     out = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
         both = [(p["base"]["metrics"].get(name), p["head"]["metrics"].get(name)) for p in pairs]
-        both = [(b, h) for b, h in both if b is not None and h is not None]
-        head_wins = sum(1 for b, h in both if (h < b if lower else h > b))
-        base_wins = sum(1 for b, h in both if (b < h if lower else b > h))
-        base, head = summary([b for b, _ in both]), summary([h for _, h in both])
-        gap = None if base["median"] is None else head["median"] - base["median"]
+        head_wins = sum(1 for b, h in both if beats(h, b, lower))
+        base_wins = sum(1 for b, h in both if beats(b, h, lower))
+        base = summary([b for b, _ in both if b is not None])
+        head = summary([h for _, h in both if h is not None])
+        gap = (None if base["median"] is None or head["median"] is None
+               else head["median"] - base["median"])
         out[name] = {
-            "better": metric["better"], "bound": metric.get("bound"), "pairs": len(both),
+            "better": metric["better"], "bound": metric.get("bound"), "pairs": len(pairs),
+            "missing": {"base": sum(1 for b, _ in both if b is None),
+                        "head": sum(1 for _, h in both if h is None)},
             "base": base, "head": head, "head_wins": head_wins, "base_wins": base_wins,
-            "ties": len(both) - head_wins - base_wins,
+            "ties": len(pairs) - head_wins - base_wins,
             "median_change": gap,
             "median_change_ratio": None if gap is None else gap / base["median"],
             # the gain rule: nine tenths of the pairs, and a median gap wider
@@ -102,7 +120,7 @@ def compare(pairs: list, declared: list) -> dict:
             "head_better_beyond_base_iqr": (
                 gap is not None and base["iqr"] is not None and abs(gap) > base["iqr"]
                 and (gap < 0 if lower else gap > 0)),
-            "head_wins_nine_tenths": head_wins >= 0.9 * len(both) if both else False,
+            "head_wins_nine_tenths": head_wins >= 0.9 * len(pairs) if pairs else False,
         }
     return out
 
