@@ -83,19 +83,23 @@ def evaluate(net, images, labels, batch_size=256) -> float:
 
 def _sgd_update(layer, velocity, lr, config: TrainConfig) -> None:
     """One momentum step of ``layer``'s parameters, run as soon as its backward
-    returns. The layer gives its gradients up, and the step works in place in
-    them, so no gradient outlives its own layer's update: a training step
-    holds one layer's gradients at a time. ``g += wd * w`` then ``g *= lr``
-    round as ``lr * (g + wd * w)`` does, and only ``wd * w`` is allocated."""
+    returns. The layer gives its gradients up, so none outlives its own
+    layer's update, and a training step holds one layer's gradients at a time.
+
+    ``wd * w`` is the one array allocated: each gradient is added into it and
+    dropped, and the sum scaled by lr, which rounds as ``lr * (g + wd * w)``
+    does. The offset backward's weight gradient is a transposed view, so
+    adding into the gradient and stepping from it would cross layouts twice.
+    """
     grads = layer.grads()
     layer.release_grads()
     for name, w in layer.params().items():
-        g = grads[name]
-        g += config.weight_decay * w
-        g *= lr
+        step = config.weight_decay * w
+        step += grads.pop(name)
+        step *= lr
         v = velocity[name]
         v *= config.momentum
-        v -= g
+        v -= step
         w += v
 
 
