@@ -665,17 +665,17 @@ class TestTrain:
         losses = [h.train_loss for h in history]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
-    @pytest.mark.parametrize("template", [toy_template, small_conv_template])
-    def test_identical_seeds_give_bitwise_identical_traces(self, template):
+    def test_identical_seeds_give_bitwise_identical_traces(self):
         images, labels = separable_toy_set()
         cfg = TrainConfig(epochs=6, batch_size=32, seed=42)
-        runs = []
-        for _ in range(2):
-            net = Network(template(), seed=7)
-            runs.append(train(net, images, labels, images, labels, cfg))
-        a, b = runs
-        assert [(s.train_loss, s.test_accuracy) for s in a] == \
-               [(s.train_loss, s.test_accuracy) for s in b]
+        for template in (toy_template, small_conv_template):
+            runs = []
+            for _ in range(2):
+                net = Network(template(), seed=7)
+                runs.append(train(net, images, labels, images, labels, cfg))
+            a, b = runs
+            assert [(s.train_loss, s.test_accuracy) for s in a] == \
+                   [(s.train_loss, s.test_accuracy) for s in b]
 
     @pytest.mark.parametrize("band_bytes", [Conv.BAND_BYTES, 1])
     def test_per_layer_update_equals_a_whole_network_update(self, band_bytes, monkeypatch):
