@@ -21,6 +21,17 @@ def _pad(x, padding):
     return padded
 
 
+def _windows(kh, kw, stride, rows, out_w):
+    """(i, j, index) for each kernel offset in row-major order, the order
+    every scatter-add here sums in. ``index`` selects from a padded
+    batch-innermost (C, H, W, N) array the cells that offset (i, j) of the
+    window reads for output rows r0 <= y < r1 and every output column, where
+    ``rows=(r0, r1)``."""
+    r0, r1 = rows
+    for i, j in np.ndindex(kh, kw):
+        yield i, j, np.s_[:, i + stride * r0:i + stride * r1:stride, j:j + stride * out_w:stride]
+
+
 def im2col(x, kh, kw, stride, padding, rows=None, out=None):
     """Unfold conv windows of a whole batch into one GEMM operand.
 
@@ -44,12 +55,8 @@ def im2col(x, kh, kw, stride, padding, rows=None, out=None):
         cols = np.empty(shape, dtype=x.dtype)
     else:
         cols = out[:np.prod(shape)].reshape(shape)
-    for i in range(kh):
-        i_min = i + stride * r0
-        i_max = i + stride * r1
-        for j in range(kw):
-            j_max = j + stride * out_w
-            cols[:, i, j] = x[:, i_min:i_max:stride, j:j_max:stride]
+    for i, j, window in _windows(kh, kw, stride, (r0, r1), out_w):
+        cols[:, i, j] = x[window]
     return cols.reshape(c * kh * kw, -1), out_h, out_w
 
 
@@ -62,11 +69,8 @@ def col2im(dcols, x_shape, kh, kw, stride, padding):
     out_w = (w + 2 * padding - kw) // stride + 1
     dcols = dcols.reshape(c, kh, kw, out_h, out_w, n)
     dx = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=dcols.dtype)
-    for i in range(kh):
-        i_max = i + stride * out_h
-        for j in range(kw):
-            j_max = j + stride * out_w
-            dx[:, i:i_max:stride, j:j_max:stride] += dcols[:, i, j]
+    for i, j, window in _windows(kh, kw, stride, (0, out_h), out_w):
+        dx[window] += dcols[:, i, j]
     if padding:
         dx = dx[:, padding:-padding, padding:-padding]
     return dx.transpose(3, 0, 1, 2)
@@ -103,32 +107,40 @@ WORKSPACE = Workspace()
 class Layer:
     """Base: parameterless, cache-free passthrough.
 
-    A layer's training-mode forward caches what its backward needs, and the
-    backward releases that cache once used. ``backward(dout, input_grad)``
-    sets the parameter gradients and returns the input gradient, or None
-    when ``input_grad`` is false.
+    Every layer has ``forward(x, train)`` and ``backward(dout, input_grad)``.
+    A training forward keeps what its backward needs in ``_cache``, and the
+    backward releases it once used. The backward sets the parameter
+    gradients and returns the input gradient, or None when ``input_grad`` is
+    false.
+
+    Each entry ``p`` of ``params()`` and ``state()`` is the attribute ``p``,
+    and parameter ``p``'s gradient is the attribute ``d_p``, so the
+    bookkeeping below serves every layer.
 
     No layer writes into an array it was given: every forward and backward
     returns fresh arrays. A cache may therefore hold the input itself, not a
     copy, as a training ``Conv`` does when its columns are too large to keep.
     """
 
+    _cache = None
+
     def params(self) -> dict:
         return {}
-
-    def grads(self) -> dict:
-        return {}
-
-    def release_grads(self) -> None:
-        """Drop the parameter gradients; parameter ``p``'s is held as ``d_p``."""
-        for name in self.params():
-            setattr(self, f"d_{name}", None)
 
     def state(self) -> dict:
         return self.params()
 
+    def grads(self) -> dict:
+        return {name: getattr(self, f"d_{name}", None) for name in self.params()}
+
+    def release_grads(self) -> None:
+        for name in self.params():
+            setattr(self, f"d_{name}", None)
+
     def astype(self, dtype) -> None:
-        pass
+        for name, arr in self.state().items():
+            setattr(self, name, arr.astype(dtype))
+        self._cache = None
 
 
 class Conv(Layer):
@@ -151,9 +163,6 @@ class Conv(Layer):
         self.bias = np.zeros(out_channels, dtype=dtype) if bias else None
         self.stride = stride
         self.padding = padding
-        self.d_weight = None
-        self.d_bias = None
-        self._cache = None
 
     def forward(self, x, train):
         n = x.shape[0]
@@ -223,15 +232,8 @@ class Conv(Layer):
     # (C, out_h*out_w*N) row block of the im2col columns, and it is formed in
     # one block of the shared workspace. Every GEMM keeps the inner dimension
     # of the whole-batch product, and the input gradient is scattered in
-    # col2im's (i, j) order, so the values are the kept-columns path's.
-
-    def _offsets(self, out_h, out_w):
-        """(i, j, index of the offset's window in the padded input), in
-        col2im's order."""
-        kh, kw = self.weight.shape[2:]
-        s = self.stride
-        return [(i, j, np.s_[:, i:i + s * out_h:s, j:j + s * out_w:s])
-                for i, j in np.ndindex(kh, kw)]
+    # col2im's (i, j) order, both walked by ``_windows``, so the values are
+    # the kept-columns path's.
 
     def _weight_grad_by_offset(self, x, dflat):
         n, in_c, h, w = x.shape
@@ -245,19 +247,20 @@ class Conv(Layer):
         # held as (kh, kw, O, C), so each offset's GEMM fills a contiguous
         # slab; the gradient is its (O, C, kh, kw) view
         d_weight = np.empty((kh, kw, out_c, in_c), dtype=np.result_type(dflat, x))
-        for i, j, window in self._offsets(out_h, out_w):
+        for i, j, window in _windows(kh, kw, self.stride, (0, out_h), out_w):
             block[...] = xpad[window]
             np.matmul(dflat, flat.T, out=d_weight[i, j])
         self.d_weight = d_weight.transpose(2, 3, 0, 1)
 
     def _input_grad_by_offset(self, x_shape, dtype, dflat):
         n, in_c, h, w = x_shape
+        kh, kw = self.weight.shape[2:]
         p = self.padding
         out_h, out_w = self._out_size(h, w)
         block = WORKSPACE.take((in_c, out_h, out_w, n), dtype)
         flat = block.reshape(in_c, -1)
         dx = np.zeros((in_c, h + 2 * p, w + 2 * p, n), dtype=dtype)
-        for i, j, window in self._offsets(out_h, out_w):
+        for i, j, window in _windows(kh, kw, self.stride, (0, out_h), out_w):
             np.matmul(np.ascontiguousarray(self.weight[:, :, i, j]).T, dflat, out=flat)
             dx[window] += block
         if p:
@@ -270,17 +273,6 @@ class Conv(Layer):
             p["bias"] = self.bias
         return p
 
-    def grads(self):
-        g = {"weight": self.d_weight}
-        if self.bias is not None:
-            g["bias"] = self.d_bias
-        return g
-
-    def astype(self, dtype):
-        self.weight = self.weight.astype(dtype)
-        if self.bias is not None:
-            self.bias = self.bias.astype(dtype)
-        self._cache = None
 
 
 class BatchNorm(Layer):
@@ -295,13 +287,8 @@ class BatchNorm(Layer):
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.d_gamma = None
-        self.d_beta = None
-        self._cache = None
 
-    def forward(self, x, train, update_stats=None):
-        if update_stats is None:
-            update_stats = train
+    def forward(self, x, train):
         n, c, h, w = x.shape
         rows = x.transpose(1, 2, 3, 0).reshape(c, -1)
         out = np.empty(rows.shape, dtype=rows.dtype)
@@ -313,10 +300,9 @@ class BatchNorm(Layer):
             corr = resid.mean(axis=1)
             mean += corr
             var = np.square(resid, out=resid).mean(axis=1) - corr * corr
-            if update_stats:
-                m = self.MOMENTUM
-                self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(x.dtype)
-                self.running_var = ((1 - m) * self.running_var + m * var).astype(x.dtype)
+            m = self.MOMENTUM
+            self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(x.dtype)
+            self.running_var = ((1 - m) * self.running_var + m * var).astype(x.dtype)
         else:
             mean = self.running_mean
             var = self.running_var
@@ -351,9 +337,6 @@ class BatchNorm(Layer):
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
 
-    def grads(self):
-        return {"gamma": self.d_gamma, "beta": self.d_beta}
-
     def state(self):
         return {
             "gamma": self.gamma,
@@ -362,27 +345,17 @@ class BatchNorm(Layer):
             "running_var": self.running_var,
         }
 
-    def astype(self, dtype):
-        self.gamma = self.gamma.astype(dtype)
-        self.beta = self.beta.astype(dtype)
-        self.running_mean = self.running_mean.astype(dtype)
-        self.running_var = self.running_var.astype(dtype)
-        self._cache = None
-
 
 class ReLU(Layer):
-    def __init__(self):
-        self._mask = None
-
     def forward(self, x, train):
         out = np.maximum(x, 0)
         if train:
-            self._mask = x > 0
+            self._cache = x > 0
         return out
 
     def backward(self, dout, input_grad=True):
-        mask = self._mask
-        self._mask = None
+        mask = self._cache
+        self._cache = None
         return dout * mask if input_grad else None
 
 
@@ -393,7 +366,6 @@ class MaxPool(Layer):
     def __init__(self, kernel, stride):
         self.kernel = kernel
         self.stride = stride
-        self._cache = None
 
     def _tiles(self, h, w):
         """Whether the windows tile the input exactly (kernel == stride and the
@@ -448,9 +420,6 @@ class Linear(Layer):
     def __init__(self, in_features, out_features, bias, rng, dtype):
         self.weight = rng.normal(0.0, np.sqrt(2.0 / in_features), (out_features, in_features)).astype(dtype)
         self.bias = np.zeros(out_features, dtype=dtype) if bias else None
-        self.d_weight = None
-        self.d_bias = None
-        self._x = None
 
     @staticmethod
     def _flat(x):
@@ -465,12 +434,12 @@ class Linear(Layer):
         if self.bias is not None:
             out += self.bias
         if train:
-            self._x = x
+            self._cache = x
         return out
 
     def backward(self, dout, input_grad=True):
-        x = self._x
-        self._x = None
+        x = self._cache
+        self._cache = None
         self.d_weight = dout.T @ self._flat(x)
         if self.bias is not None:
             self.d_bias = dout.sum(axis=0)
@@ -486,15 +455,3 @@ class Linear(Layer):
         if self.bias is not None:
             p["bias"] = self.bias
         return p
-
-    def grads(self):
-        g = {"weight": self.d_weight}
-        if self.bias is not None:
-            g["bias"] = self.d_bias
-        return g
-
-    def astype(self, dtype):
-        self.weight = self.weight.astype(dtype)
-        if self.bias is not None:
-            self.bias = self.bias.astype(dtype)
-        self._x = None

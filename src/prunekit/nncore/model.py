@@ -100,7 +100,7 @@ class Network:
                 f"batch shape {x.shape} does not match template input (C,W,H)={self.template.input_shape}"
             )
 
-    def forward(self, x, train=False, capture=False, update_stats=None):
+    def forward(self, x, train=False, capture=False):
         """Run the network. With ``capture`` also returns {slot: feature map}.
 
         ``capture`` may instead be a callable: it is handed each (slot,
@@ -114,10 +114,7 @@ class Network:
         sink = captured.__setitem__ if capture is True else capture
         capture_at = {v: k for k, v in self._capture_points.items()} if sink else {}
         for idx, layer in enumerate(self.layers):
-            if isinstance(layer, L.BatchNorm):
-                x = layer.forward(x, train, update_stats)
-            else:
-                x = layer.forward(x, train)
+            x = layer.forward(x, train)
             if idx in capture_at:
                 sink(capture_at[idx], x)
         if capture is True:
@@ -141,19 +138,18 @@ class Network:
             if update is not None:
                 update(layer)
 
-    def loss_and_grads(self, x, labels, loss="xent", train=True, update_stats=None,
-                       update=None):
+    def loss_and_grads(self, x, labels, loss="xent", train=True, update=None):
         """Forward, loss and backward; returns the loss. ``update`` is handed
         to ``backward``. A non-finite loss runs no backward, so it sets no
         gradient and no ``update`` runs."""
-        logits = self.forward(x, train=train, update_stats=update_stats)
+        logits = self.forward(x, train=train)
         value, dlogits = _loss_fn(loss, logits, labels, self.template.num_classes)
         if np.isfinite(value):
             self.backward(dlogits, update)
         return value
 
-    def loss_only(self, x, labels, loss="xent", train=True, update_stats=None):
-        logits = self.forward(x, train=train, update_stats=update_stats)
+    def loss_only(self, x, labels, loss="xent", train=True):
+        logits = self.forward(x, train=train)
         value, _ = _loss_fn(loss, logits, labels, self.template.num_classes)
         return value
 
@@ -163,27 +159,20 @@ class Network:
             outs.append(self.forward(x[start:start + batch_size], train=False))
         return np.concatenate(outs, axis=0)
 
+    def _named(self, part) -> dict[str, np.ndarray]:
+        """Every layer's ``part()`` dict, its keys prefixed "layerNN."."""
+        return {f"layer{idx:02d}.{name}": arr for idx, layer in enumerate(self.layers)
+                for name, arr in getattr(layer, part)().items()}
+
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for idx, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                out[f"layer{idx:02d}.{name}"] = arr
-        return out
+        return self._named("params")
 
     def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for idx, layer in enumerate(self.layers):
-            for name, arr in layer.grads().items():
-                out[f"layer{idx:02d}.{name}"] = arr
-        return out
+        return self._named("grads")
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Parameters plus batchnorm running statistics, for checkpointing."""
-        out = {}
-        for idx, layer in enumerate(self.layers):
-            for name, arr in layer.state().items():
-                out[f"layer{idx:02d}.{name}"] = arr
-        return out
+        return self._named("state")
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         own = self.state_arrays()

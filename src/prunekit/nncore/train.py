@@ -104,7 +104,7 @@ def _sgd_update(layer, velocity, lr, config: TrainConfig) -> None:
 
 
 def train(net, train_images, train_labels, test_images, test_labels,
-          config: TrainConfig, trace_path=None, callback=None):
+          config: TrainConfig, trace_path=None):
     """Train in place; returns the list of per-epoch EpochStats.
 
     One rng (seeded from config.seed) draws exactly one permutation per epoch,
@@ -145,8 +145,6 @@ def train(net, train_images, train_labels, test_images, test_labels,
                 writer.writerow([stats.epoch, f"{stats.lr:.6g}",
                                  f"{stats.train_loss:.6f}", f"{stats.test_accuracy:.4f}"])
                 trace_file.flush()
-            if callback is not None:
-                callback(stats)
     finally:
         if trace_file is not None:
             trace_file.close()

@@ -141,6 +141,9 @@ def load_config(path) -> ExperimentConfig:
 _TOP_LEVEL_KEYS = ("template", "sample_count", "epsilon", "min_pts", "baseline_epochs",
                    "seed", "dump_similarity", "out", "out_dir", "neighborhood",
                    "dataset", "swarm", "trainer")
+# second spellings of a setting: key as written -> ExperimentConfig field
+_ALIASES = {"out": "out_dir", "neighborhood.epsilon": "epsilon",
+            "neighborhood.min_pts": "min_pts"}
 
 
 def _mapping(value, where: str, known) -> dict:
@@ -162,23 +165,22 @@ def _section(raw: dict, name: str, cls):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig; an unknown key at any level is an error."""
+    """Build an ExperimentConfig. An unknown key at any level is an error,
+    and so is a setting given under both of its spellings."""
     raw = _mapping(raw, "file", _TOP_LEVEL_KEYS)
-    kwargs = {}
-    for key in ("template", "sample_count", "epsilon", "min_pts",
-                "baseline_epochs", "seed", "dump_similarity"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "out" in raw:
-        kwargs["out_dir"] = raw["out"]
-    if "out_dir" in raw:
-        kwargs["out_dir"] = raw["out_dir"]
+    sections = ("neighborhood", "dataset", "swarm", "trainer")
+    given = {k: v for k, v in raw.items() if k not in sections}
     if "neighborhood" in raw:
         nb = _mapping(raw["neighborhood"], "neighborhood", ("epsilon", "min_pts"))
-        if "epsilon" in nb:
-            kwargs["epsilon"] = nb["epsilon"]
-        if "min_pts" in nb:
-            kwargs["min_pts"] = nb["min_pts"]
+        given.update({f"neighborhood.{k}": v for k, v in nb.items()})
+    kwargs, spelled = {}, {}
+    for key, value in given.items():
+        name = _ALIASES.get(key, key)
+        if name in spelled:
+            raise PruneKitError(
+                f"config keys {spelled[name]} and {key} both set {name}; give only one")
+        spelled[name] = key
+        kwargs[name] = value
     if "dataset" in raw:
         kwargs["dataset"] = DatasetConfig(**_section(raw, "dataset", DatasetConfig))
     if "swarm" in raw:
@@ -358,10 +360,17 @@ class ExperimentRun:
                 self.test_set.images, self.test_set.labels,
                 self.config.trainer.train_config(
                     swarm_cfg.proxy_epochs, derive_seed(self.config.seed, "proxy")))
+            trace_path = self.path("swarm_trace.jsonl")
+            if resume:
+                # fitness is a pure function of the structure and the run's
+                # seed, so every structure the old trace scored, even past the
+                # state the search resumes from, needs no training again
+                evaluator.cache.update((tuple(r["structure"]), r["fitness"])
+                                       for r in swarm.read_trace(trace_path))
             result = swarm.search(
                 coarse_structure, self.template.original_structure(), evaluator,
                 swarm_cfg, state_path=self.path("swarm_state.json"),
-                trace_path=self.path("swarm_trace.jsonl"), resume=resume)
+                trace_path=trace_path, resume=resume)
             return {
                 "best": list(result.best),
                 "best_fitness": result.best_fitness,

@@ -208,6 +208,34 @@ def _state_from_dict(data: dict) -> SwarmState:
                       float(data["gbest_fitness"]), int(data["iteration"]), rng)
 
 
+def _load_state(state_path, config: SwarmConfig, slots: int) -> SwarmState:
+    """The state a resumed search continues from; a file that cannot be that
+    of this search's config and bounds is an error naming the file."""
+    where = f"search stage: resumed {state_path}"
+    try:
+        with open(state_path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise PruneKitError(f"{where} is not valid JSON: {exc}") from exc
+    try:
+        state = _state_from_dict(data)
+    except KeyError as exc:
+        raise PruneKitError(f"{where} has no {exc.args[0]!r} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise PruneKitError(f"{where} is malformed: {exc}") from exc
+    if len(state.particles) != config.particles:
+        raise PruneKitError(f"{where} holds {len(state.particles)} particles, "
+                            f"the config asks for {config.particles}")
+    vectors = [("gbest", state.gbest)] + [
+        (f"particle {idx} {name}", getattr(p, name))
+        for idx, p in enumerate(state.particles) for name in ("position", "velocity", "pbest")]
+    for what, vector in vectors:
+        if np.shape(vector) != (slots,):
+            raise PruneKitError(f"{where}: {what} has shape {np.shape(vector)}, "
+                                f"expected ({slots},), one entry per prunable layer")
+    return state
+
+
 @dataclass
 class SearchResult:
     best: archspec.NetworkStructure
@@ -235,8 +263,7 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
 
     state = None
     if resume and state_path is not None and os.path.exists(state_path):
-        with open(state_path) as fh:
-            state = _state_from_dict(json.load(fh))
+        state = _load_state(state_path, config, bounds_arr.size)
     trace = _cut_trace(trace_path, -1 if state is None else state.iteration)
     if state is None:
         state = init_population(coarse, bounds_arr, evaluator, config, trace=trace)
@@ -297,27 +324,40 @@ def _history(trace) -> list:
     return rows
 
 
-def _cut_trace(trace_path, iteration) -> list:
-    """Truncate the trace after its last whole line of an iteration <=
-    ``iteration`` and return the records it keeps; lines are in iteration
-    order."""
-    records: list = []
+def _whole_lines(trace_path):
+    """(record, length in bytes) of each line of the trace, up to the first
+    line torn by a crash mid-append."""
     if trace_path is None or not os.path.exists(trace_path):
-        return records
-    keep = 0
+        return []
+    lines = []
     with open(trace_path, "rb") as fh:
         for line in fh:
             try:
                 if not line.endswith(b"\n"):
                     break
-                record = json.loads(line)
-            except ValueError:  # a line torn by a crash mid-append
+                lines.append((json.loads(line), len(line)))
+            except ValueError:
                 break
-            if record["iteration"] > iteration:
-                break
-            records.append(record)
-            keep += len(line)
-    os.truncate(trace_path, keep)
+    return lines
+
+
+def read_trace(trace_path) -> list:
+    """Every whole record of a trace file (none when there is no file)."""
+    return [record for record, _ in _whole_lines(trace_path)]
+
+
+def _cut_trace(trace_path, iteration) -> list:
+    """Truncate the trace after its last whole line of an iteration <=
+    ``iteration`` and return the records it keeps; lines are in iteration
+    order."""
+    records, keep = [], 0
+    for record, size in _whole_lines(trace_path):
+        if record["iteration"] > iteration:
+            break
+        records.append(record)
+        keep += size
+    if trace_path is not None and os.path.exists(trace_path):
+        os.truncate(trace_path, keep)
     return records
 
 

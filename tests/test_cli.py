@@ -77,3 +77,25 @@ def test_torn_coarse_json_on_resume_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: coarse stage: reused ")
     assert coarse in err
+
+
+def test_both_spellings_of_a_setting_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, SMALL_RUN + "epsilon: 0.3\nneighborhood:\n  epsilon: 0.1\n")
+    assert cli.main(["coarse", "--config", config, "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config keys epsilon and neighborhood.epsilon both set epsilon")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_torn_swarm_state_on_resume_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    config = write_config(tmp_path, SMALL_RUN)
+    assert cli.main(["coarse", "--config", config, "--out", out]) == 0
+    (run_dir,) = os.listdir(out)
+    state = os.path.join(out, run_dir, "swarm_state.json")
+    with open(state, "w") as fh:
+        fh.write('{"iteration": 0, "particles": [')
+    capsys.readouterr()
+    assert cli.main(["search", "--config", config, "--out", out, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: search stage: resumed {state} is not valid JSON")

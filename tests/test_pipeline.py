@@ -137,6 +137,16 @@ trainer:
         with pytest.raises(PruneKitError, match=rf"unknown config key {key} "):
             pipeline.config_from_dict(raw)
 
+    @pytest.mark.parametrize("raw,first,second", [
+        ({"out": "a", "out_dir": "b"}, "out", "out_dir"),
+        ({"out_dir": "b", "out": "a"}, "out_dir", "out"),
+        ({"epsilon": 0.3, "neighborhood": {"epsilon": 0.1}}, "epsilon", "neighborhood.epsilon"),
+        ({"min_pts": 3, "neighborhood": {"min_pts": 4}}, "min_pts", "neighborhood.min_pts"),
+    ])
+    def test_both_spellings_of_a_setting_rejected(self, raw, first, second):
+        with pytest.raises(PruneKitError, match=rf"config keys {first} and {second} both set"):
+            pipeline.config_from_dict(raw)
+
     def test_section_must_be_mapping(self):
         with pytest.raises(PruneKitError, match="config swarm must be a mapping"):
             pipeline.config_from_dict({"swarm": 3})
@@ -235,10 +245,15 @@ class TestRerun:
             assert [line.split(",")[0] for line in lines[1:]] == \
                 [str(e) for e in range(epochs)], name
 
+def trace_structures(config):
+    with open(os.path.join(config.run_dir(), "swarm_trace.jsonl")) as fh:
+        return {tuple(json.loads(line)["structure"]) for line in fh}
+
+
 class TestResumedSearch:
-    def test_search_json_matches_uninterrupted_run(self, tmp_path, monkeypatch):
-        """A search that crashed at a swarm_state.json write and was resumed
-        writes the same search.json as one that never stopped."""
+    def run_crashed_at_iteration_2(self, tmp_path, monkeypatch):
+        """An uninterrupted search, and a copy that crashed at its iteration-2
+        swarm_state.json write, after that iteration's trace lines."""
         import dataclasses
         config = dataclasses.replace(
             desk_experiment_config(tmp_path / "full"), baseline_epochs=1,
@@ -255,11 +270,36 @@ class TestResumedSearch:
         with pytest.raises(OSError, match="synthetic crash"):
             pipeline.run(crashed, through="search")
         monkeypatch.setattr(pipeline.swarm, "write_text_atomic", write)
-        pipeline.run(crashed, resume=True, through="search")
+        return config, crashed
+
+    def assert_same_search(self, config, crashed):
         for name in ("search.json", "swarm_trace.jsonl"):
             with open(os.path.join(config.run_dir(), name), "rb") as fa, \
                     open(os.path.join(crashed.run_dir(), name), "rb") as fb:
                 assert fb.read() == fa.read(), name
+
+    def test_search_json_matches_uninterrupted_run(self, tmp_path, monkeypatch):
+        """A search that crashed at a swarm_state.json write and was resumed
+        writes the same search.json as one that never stopped."""
+        config, crashed = self.run_crashed_at_iteration_2(tmp_path, monkeypatch)
+        pipeline.run(crashed, resume=True, through="search")
+        self.assert_same_search(config, crashed)
+
+    def test_resume_trains_only_structures_the_old_trace_lacks(self, tmp_path, monkeypatch):
+        """The old trace's fitnesses fill the cache, iteration 2's lines
+        included, though the search resumes from iteration 1's state."""
+        config, crashed = self.run_crashed_at_iteration_2(tmp_path, monkeypatch)
+        scored = trace_structures(crashed)
+        trained = []
+        train = pipeline.swarm.nncore.train
+
+        def spy(net, *args, **kwargs):
+            trained.append(tuple(net.template.original_structure()))
+            return train(net, *args, **kwargs)
+        monkeypatch.setattr(pipeline.swarm.nncore, "train", spy)
+        pipeline.run(crashed, resume=True, through="search")
+        assert sorted(trained) == sorted(trace_structures(crashed) - scored)
+        self.assert_same_search(config, crashed)
 
 
 class TestFailureRecording:
@@ -389,6 +429,36 @@ class TestResumeChecks:
             pipeline.run(config, resume=True)
         report = RunReport.load(os.path.join(config.run_dir(), "report.json"))
         assert report.failed_stage == stage
+
+    @pytest.mark.parametrize("text,problem", [
+        ('{"iteration": 1, "gbest": [', "is not valid JSON"),
+        ('{"iteration": 1, "gbest": [1, 1, 1, 1], "gbest_fitness": 0.5}',
+         "has no 'particles' field"),
+        ('{"iteration": 1, "particles": 3}', "is malformed"),
+    ])
+    def test_malformed_swarm_state(self, tmp_path, text, problem):
+        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
+        with open(run.path("swarm_state.json"), "w") as fh:
+            fh.write(text)
+        with pytest.raises(PruneKitError, match=rf"search stage: .*swarm_state\.json {problem}"):
+            run.stage_search(run.template.original_structure(), resume=True)
+        assert RunReport.load(run.path("report.json")).failed_stage == "search"
+
+    @pytest.mark.parametrize("particles,lengths,problem", [
+        (5, [4] * 5, "holds 5 particles, the config asks for 6"),
+        (6, [4, 4, 3, 4, 4, 4], r"particle 2 position has shape \(3,\), expected \(4,\)"),
+    ])
+    def test_swarm_state_of_another_search(self, tmp_path, particles, lengths, problem):
+        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
+        assert run.config.swarm.particles == 6 and len(run.template.prunable_slots) == 4
+        state = pipeline.swarm.SwarmState(
+            [pipeline.swarm.Particle(np.ones(n), np.zeros(4), (1, 1, 1, 1), 0.5)
+             for n in lengths], (1, 1, 1, 1), 0.5, 1, np.random.default_rng(0))
+        with open(run.path("swarm_state.json"), "w") as fh:
+            json.dump(pipeline.swarm._state_to_dict(state), fh)
+        with pytest.raises(PruneKitError, match=rf"search stage: .*swarm_state\.json.*{problem}"):
+            run.stage_search(run.template.original_structure(), resume=True)
+        assert RunReport.load(run.path("report.json")).failed_stage == "search"
 
     def test_valid_artifacts_are_reused(self, tmp_path):
         run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
