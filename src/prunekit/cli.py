@@ -18,29 +18,39 @@ from . import pipeline
 from .errors import PruneKitError
 from .report import RunReport, render_table
 
-_STAGE_OF = {
-    "train-baseline": "baseline",
-    "coarse": "coarse",
-    "search": "search",
-    "retrain": "retrain",
-    "run": "report",
-    "report": "report",
+# subcommand -> (the stage it runs through, description)
+_COMMANDS = {
+    "train-baseline": ("baseline", "train (or reuse) the full-width baseline"),
+    "coarse": ("coarse", "cluster feature maps into a coarse width vector"),
+    "search": ("search", "refine the coarse vector by particle swarm"),
+    "retrain": ("retrain", "retrain the best structure from scratch"),
+    "run": ("report", "all stages end to end"),
+    "report": ("report", "render the report for a finished run"),
+}
+
+
+# override flag -> (dotted config field it sets, argparse options)
+_OVERRIDES = {
+    "--epsilon": ("epsilon", dict(type=float, help="clustering distance threshold")),
+    "--minpts": ("min_pts", dict(type=int, help="clustering density threshold")),
+    "--particles": ("swarm.particles", dict(type=int, help="swarm population size")),
+    "--iterations": ("swarm.iterations", dict(type=int, help="swarm iteration count")),
+    "--proxy-epochs": ("swarm.proxy_epochs",
+                       dict(type=int, help="epochs per fitness evaluation")),
+    "--seed": ("seed", dict(type=int, help="experiment seed")),
+    "--out": ("out_dir", dict(help="output directory for run artifacts")),
+    "--dump-similarity": ("dump_similarity", dict(
+        action="store_true", default=None,
+        help="write per-layer similarity matrices as CSV")),
 }
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="YAML experiment config")
-    sub.add_argument("--epsilon", type=float, help="clustering distance threshold")
-    sub.add_argument("--minpts", type=int, help="clustering density threshold")
-    sub.add_argument("--particles", type=int, help="swarm population size")
-    sub.add_argument("--iterations", type=int, help="swarm iteration count")
-    sub.add_argument("--proxy-epochs", type=int, help="epochs per fitness evaluation")
-    sub.add_argument("--seed", type=int, help="experiment seed")
-    sub.add_argument("--out", help="output directory for run artifacts")
+    for flag, (_, options) in _OVERRIDES.items():
+        sub.add_argument(flag, **options)
     sub.add_argument("--resume", action="store_true",
                      help="reuse completed stages and mid-search checkpoints")
-    sub.add_argument("--dump-similarity", action="store_true",
-                     help="write per-layer similarity matrices as CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,43 +58,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="prunekit",
         description="Channel pruning: cluster feature maps, refine by particle swarm, retrain.")
     subs = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "train-baseline": "train (or reuse) the full-width baseline",
-        "coarse": "cluster feature maps into a coarse width vector",
-        "search": "refine the coarse vector by particle swarm",
-        "retrain": "retrain the best structure from scratch",
-        "run": "all stages end to end",
-        "report": "render the report for a finished run",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _COMMANDS.items():
         _add_common(subs.add_parser(name, help=desc, description=desc))
     return parser
 
 
+def _with(config, dotted: str, value):
+    """``config`` with the field at the dotted path set to ``value``."""
+    name, _, rest = dotted.partition(".")
+    if rest:
+        value = _with(getattr(config, name), rest, value)
+    return replace(config, **{name: value})
+
+
 def _config_from_args(args) -> pipeline.ExperimentConfig:
-    if args.config:
-        config = pipeline.load_config(args.config)
-    else:
-        config = pipeline.ExperimentConfig()
-    if args.epsilon is not None:
-        config = replace(config, epsilon=args.epsilon)
-    if args.minpts is not None:
-        config = replace(config, min_pts=args.minpts)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    if args.dump_similarity:
-        config = replace(config, dump_similarity=True)
-    swarm_cfg = config.swarm
-    if args.particles is not None:
-        swarm_cfg = replace(swarm_cfg, particles=args.particles)
-    if args.iterations is not None:
-        swarm_cfg = replace(swarm_cfg, iterations=args.iterations)
-    if args.proxy_epochs is not None:
-        swarm_cfg = replace(swarm_cfg, proxy_epochs=args.proxy_epochs)
-    if swarm_cfg is not config.swarm:
-        config = replace(config, swarm=swarm_cfg)
+    config = pipeline.load_config(args.config) if args.config else pipeline.ExperimentConfig()
+    for flag, (dotted, _) in _OVERRIDES.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            config = _with(config, dotted, value)
     return config
 
 
@@ -102,7 +94,7 @@ def main(argv=None) -> int:
             print(render_table(RunReport.load(report_path)))
             return 0
         result = pipeline.run(config, resume=args.resume,
-                              through=_STAGE_OF[args.command])
+                              through=_COMMANDS[args.command][0])
         if isinstance(result, RunReport):
             print(render_table(result))
         else:

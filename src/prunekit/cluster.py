@@ -8,7 +8,7 @@ as-is since nothing resembles them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,12 +68,12 @@ def dbscan(distances: np.ndarray, params: NeighborhoodParams) -> ClusterAssignme
     A channel's epsilon-neighborhood includes itself. Seed points are visited
     in ascending index order and cluster expansion is breadth-first, also in
     ascending order, which fixes border-point ties deterministically: a
-    border channel joins the first cluster that reaches it.
+    border channel joins the first cluster that reaches it. With ``min_pts``
+    above the channel count no neighborhood is dense, so every channel is
+    noise.
     """
     d = _check_distances(distances)
     n = d.shape[0]
-    if params.min_pts > n:
-        raise BoundsError(f"min_pts {params.min_pts} exceeds channel count {n}")
     within = d <= params.epsilon
     neighbor_counts = within.sum(axis=1)
     core = neighbor_counts >= params.min_pts
@@ -115,13 +115,7 @@ class LayerClusterReport:
     coarse_channels: int
 
     def to_dict(self) -> dict:
-        return {
-            "slot": self.slot,
-            "original_channels": self.original_channels,
-            "clusters": self.clusters,
-            "noise": self.noise,
-            "coarse_channels": self.coarse_channels,
-        }
+        return asdict(self)
 
 
 def coarse_prune(template: archspec.ArchTemplate, net, sample_images: np.ndarray,
@@ -153,31 +147,14 @@ def coarse_prune(template: archspec.ArchTemplate, net, sample_images: np.ndarray
 
     for start in range(0, n_total, batch_size):
         net.forward(sample_images[start:start + batch_size], train=False, capture=accumulate)
-    counts = []
     reports = []
     for slot in slots:
         maps = featstats.ChannelMeanMaps(slot, sums[slot] / n_total)
-        c = maps.channels
-        if c == 1:
-            # a lone channel is a core singleton cluster when min_pts == 1,
-            # noise otherwise; the kept count is 1 either way
-            counts.append(1)
-            if params.min_pts == 1:
-                reports.append(LayerClusterReport(slot, 1, 1, 0, 1))
-            else:
-                reports.append(LayerClusterReport(slot, 1, 0, 1, 1))
-            continue
-        if params.min_pts > c:
-            # neighborhoods can never reach min_pts: everything is noise
-            counts.append(c)
-            reports.append(LayerClusterReport(slot, c, 0, c, c))
-            continue
         sim = featstats.similarity(maps)
         if similarity_sink is not None:
             similarity_sink(slot, sim)
         assignment = dbscan(featstats.distance_matrix(sim), params)
-        kept = coarse_channel_count(assignment)
-        counts.append(kept)
         reports.append(LayerClusterReport(
-            slot, c, assignment.num_clusters, assignment.num_noise, kept))
-    return archspec.NetworkStructure(tuple(counts)), reports
+            slot, maps.channels, assignment.num_clusters, assignment.num_noise,
+            coarse_channel_count(assignment)))
+    return archspec.NetworkStructure(tuple(r.coarse_channels for r in reports)), reports

@@ -61,11 +61,9 @@ def similarity(maps: ChannelMeanMaps) -> SimilarityMatrix:
     The upper triangle of the normalized Gram matrix is mirrored onto the
     lower one, so the matrix is symmetric exactly, not just to roundoff. A
     zero-norm (dead) channel is defined to have similarity 0 with every
-    other channel and 1 with itself.
+    other channel and 1 with itself. A lone channel gives ``[[1.0]]``.
     """
     c = maps.channels
-    if c < 2:
-        raise BoundsError(f"similarity needs at least 2 channels, got {c}")
     flat = maps.maps.reshape(c, -1).astype(np.float64)
     norms = np.sqrt((flat * flat).sum(axis=1))
     live = norms > 0.0

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
@@ -64,12 +64,18 @@ class TrainerConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
 
+    def __post_init__(self):
+        drops = self.lr_drops
+        if not isinstance(drops, (list, tuple)) or not all(
+                isinstance(d, (list, tuple)) and len(d) == 2
+                and all(type(x) in (int, float) for x in d) for d in drops):
+            raise PruneKitError(
+                f"trainer.lr_drops must be a list of [fraction, divisor] pairs, got {drops!r}")
+        object.__setattr__(self, "lr_drops", tuple(tuple(d) for d in drops))
+        TrainConfig(**asdict(self))  # validates
+
     def train_config(self, epochs: int, seed: int) -> TrainConfig:
-        return TrainConfig(epochs=epochs, batch_size=self.batch_size,
-                           initial_lr=self.initial_lr,
-                           lr_drops=tuple(tuple(d) for d in self.lr_drops),
-                           momentum=self.momentum,
-                           weight_decay=self.weight_decay, seed=seed)
+        return TrainConfig(epochs=epochs, seed=seed, **asdict(self))
 
 
 @dataclass(frozen=True)
@@ -97,23 +103,17 @@ class ExperimentConfig:
         return cluster.NeighborhoodParams(self.epsilon, self.min_pts)
 
     def identity_dict(self) -> dict:
-        """Everything that affects results; excludes out_dir and seed.
+        """Everything that affects results; excludes out_dir, seed and
+        dump_similarity.
 
         A swarm seed of None means "derived from the experiment seed" and so
         carries no identity of its own; an explicit swarm seed does.
         """
-        d = {
-            "template": self.template,
-            "dataset": asdict_frozen(self.dataset),
-            "sample_count": self.sample_count,
-            "epsilon": self.epsilon,
-            "min_pts": self.min_pts,
-            "baseline_epochs": self.baseline_epochs,
-            "swarm": asdict_frozen(self.swarm),
-            "trainer": asdict_frozen(self.trainer),
-        }
-        if d["swarm"].get("seed") is None:
-            d["swarm"].pop("seed", None)
+        d = asdict(self)
+        for name in ("out_dir", "seed", "dump_similarity"):
+            del d[name]
+        if d["swarm"]["seed"] is None:
+            del d["swarm"]["seed"]
         return d
 
     def config_hash(self) -> str:
@@ -123,14 +123,6 @@ class ExperimentConfig:
         return os.path.join(self.out_dir, f"{self.template}-{self.config_hash()}-s{self.seed}")
 
 
-def asdict_frozen(obj) -> dict:
-    d = asdict(obj)
-    for k, v in d.items():
-        if isinstance(v, tuple):
-            d[k] = [list(x) if isinstance(x, tuple) else x for x in v]
-    return d
-
-
 def load_config(path) -> ExperimentConfig:
     """Build an ExperimentConfig from a YAML file of nested sections."""
     with open(path) as fh:
@@ -138,12 +130,13 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-_TOP_LEVEL_KEYS = ("template", "sample_count", "epsilon", "min_pts", "baseline_epochs",
-                   "seed", "dump_similarity", "out", "out_dir", "neighborhood",
-                   "dataset", "swarm", "trainer")
 # second spellings of a setting: key as written -> ExperimentConfig field
 _ALIASES = {"out": "out_dir", "neighborhood.epsilon": "epsilon",
             "neighborhood.min_pts": "min_pts"}
+# what a field whose default has this type accepts, and how an error names it
+_ACCEPTS = {float: ((int, float), "a number"), tuple: ((list, tuple), "a list"),
+            type(None): ((int, type(None)), "an integer or null"),
+            int: (int, "an integer"), str: (str, "a string"), bool: (bool, "a boolean")}
 
 
 def _mapping(value, where: str, known) -> dict:
@@ -160,16 +153,30 @@ def _mapping(value, where: str, known) -> dict:
     return value
 
 
-def _section(raw: dict, name: str, cls):
-    return _mapping(raw[name], name, [f.name for f in fields(cls)])
+def _value(key: str, value, f):
+    """The value of field ``f`` as given under ``key``. A section field's
+    dataclass is built from its mapping, every key known; any other value
+    must fit the type of the field's default: an int serves for a float, a
+    list for a tuple and an int for a None default, and a bool fits only a
+    bool."""
+    section = f.default_factory
+    if is_dataclass(section):
+        known = {g.name: g for g in fields(section)}
+        raw = _mapping(value, key, known)
+        return section(**{k: _value(f"{key}.{k}", v, known[k]) for k, v in raw.items()})
+    accepts, name = _ACCEPTS[type(f.default)]
+    if isinstance(value, bool) != isinstance(f.default, bool) or not isinstance(value, accepts):
+        raise PruneKitError(f"config key {key} must be {name}, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig. An unknown key at any level is an error,
-    and so is a setting given under both of its spellings."""
-    raw = _mapping(raw, "file", _TOP_LEVEL_KEYS)
-    sections = ("neighborhood", "dataset", "swarm", "trainer")
-    given = {k: v for k, v in raw.items() if k not in sections}
+    and so are a value of the wrong type and a setting given under both of
+    its spellings."""
+    top = {f.name: f for f in fields(ExperimentConfig)}
+    raw = _mapping(raw, "file", [*top, "out", "neighborhood"])
+    given = {k: v for k, v in raw.items() if k != "neighborhood"}
     if "neighborhood" in raw:
         nb = _mapping(raw["neighborhood"], "neighborhood", ("epsilon", "min_pts"))
         given.update({f"neighborhood.{k}": v for k, v in nb.items()})
@@ -180,16 +187,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise PruneKitError(
                 f"config keys {spelled[name]} and {key} both set {name}; give only one")
         spelled[name] = key
-        kwargs[name] = value
-    if "dataset" in raw:
-        kwargs["dataset"] = DatasetConfig(**_section(raw, "dataset", DatasetConfig))
-    if "swarm" in raw:
-        kwargs["swarm"] = swarm.SwarmConfig(**_section(raw, "swarm", swarm.SwarmConfig))
-    if "trainer" in raw:
-        tr = dict(_section(raw, "trainer", TrainerConfig))
-        if "lr_drops" in tr:
-            tr["lr_drops"] = tuple(tuple(d) for d in tr["lr_drops"])
-        kwargs["trainer"] = TrainerConfig(**tr)
+        kwargs[name] = _value(key, value, top[name])
     return ExperimentConfig(**kwargs)
 
 
@@ -215,24 +213,22 @@ class ExperimentRun:
         self.config = config
         self.run_dir = config.run_dir()
         os.makedirs(self.run_dir, exist_ok=True)
-        self.template = self._resolve_template()
-        self.train_set, self.test_set = self._load_data()
+        cfg = config.dataset
+        self.template = archspec.get_template(config.template, num_classes=cfg.num_classes)
+        spec = None
+        if cfg.name == "synthetic":
+            spec = cfg.synthetic_spec(derive_seed(config.seed, "data"))
+        self.train_set, self.test_set = data.load_dataset(cfg.path, cfg.name, synthetic_spec=spec)
         if tuple(self.train_set.input_shape) != tuple(self.template.input_shape):
             raise PruneKitError(
                 f"dataset input shape {self.train_set.input_shape} does not "
                 f"match template input {self.template.input_shape}")
+        if self.train_set.num_classes != self.template.num_classes:
+            raise PruneKitError(
+                f"dataset {cfg.name!r} has {self.train_set.num_classes} "
+                f"classes but template {self.template.name} has "
+                f"{self.template.num_classes}; set dataset.num_classes to match")
         self.stage_seconds: dict = {}
-
-    def _resolve_template(self) -> archspec.ArchTemplate:
-        return archspec.get_template(self.config.template,
-                                     num_classes=self.config.dataset.num_classes)
-
-    def _load_data(self):
-        cfg = self.config.dataset
-        spec = None
-        if cfg.name == "synthetic":
-            spec = cfg.synthetic_spec(derive_seed(self.config.seed, "data"))
-        return data.load_dataset(cfg.path, cfg.name, synthetic_spec=spec)
 
     def path(self, name: str) -> str:
         return os.path.join(self.run_dir, name)
@@ -299,26 +295,31 @@ class ExperimentRun:
         self.stage_seconds[stage] = time.perf_counter() - start
         return saved
 
+    def _fit(self, net, tag, epochs, trace, checkpoint) -> dict:
+        """Train ``net`` with stage ``tag``'s seed, writing the CSV ``trace``
+        and the ``checkpoint``; returns its accuracy, best accuracy, params
+        and FLOPs."""
+        cfg = self.config.trainer.train_config(epochs, derive_seed(self.config.seed, tag))
+        history = train(net, self.train_set.images, self.train_set.labels,
+                        self.test_set.images, self.test_set.labels, cfg,
+                        trace_path=self.path(trace))
+        save_model(self.path(checkpoint), net)
+        return {
+            "accuracy": history[-1].test_accuracy,
+            "best_accuracy": max(h.test_accuracy for h in history),
+            "params": archspec.param_count(net.template),
+            "flops": archspec.flops_count(net.template),
+        }
+
     # -- stage 1 ------------------------------------------------------------
     def stage_baseline(self):
         """Train the full-width model, or load it if this run dir has one."""
         net = Network(self.template, seed=derive_seed(self.config.seed, "baseline", "init"))
 
         def compute():
-            cfg = self.config.trainer.train_config(
-                self.config.baseline_epochs, derive_seed(self.config.seed, "baseline"))
-            history = train(net, self.train_set.images, self.train_set.labels,
-                            self.test_set.images, self.test_set.labels, cfg,
-                            trace_path=self.path("baseline_trace.csv"))
-            save_model(self.path("baseline.ckpt"), net)
-            return {
-                "accuracy": history[-1].test_accuracy,
-                "best_accuracy": max(h.test_accuracy for h in history),
-                "params": archspec.param_count(self.template),
-                "flops": archspec.flops_count(self.template),
-                "epochs": self.config.baseline_epochs,
-                "weight_init": "kaiming-fan-in",
-            }
+            epochs = self.config.baseline_epochs
+            return {**self._fit(net, "baseline", epochs, "baseline_trace.csv", "baseline.ckpt"),
+                    "epochs": epochs, "weight_init": "kaiming-fan-in"}
         meta = self._stage("baseline", "baseline.json", compute, reuse=True,
                            checkpoint="baseline.ckpt", net=net,
                            keys=("accuracy", "params", "flops", "epochs"))
@@ -385,24 +386,13 @@ class ExperimentRun:
     def stage_retrain(self, final_structure, resume=False):
         def compute():
             pruned = archspec.instantiate(self.template, final_structure)
-            orig_flops = archspec.flops_count(self.template)
-            pruned_flops = archspec.flops_count(pruned)
-            epochs = retrain_epochs(self.config.baseline_epochs, orig_flops, pruned_flops)
+            epochs = retrain_epochs(self.config.baseline_epochs,
+                                    archspec.flops_count(self.template),
+                                    archspec.flops_count(pruned))
             net = Network(pruned, seed=derive_seed(self.config.seed, "retrain", "init"))
-            cfg = self.config.trainer.train_config(
-                epochs, derive_seed(self.config.seed, "retrain"))
-            history = train(net, self.train_set.images, self.train_set.labels,
-                            self.test_set.images, self.test_set.labels, cfg,
-                            trace_path=self.path("final_trace.csv"))
-            save_model(self.path("final.ckpt"), net)
-            return {
-                "structure": list(final_structure),
-                "accuracy": history[-1].test_accuracy,
-                "best_accuracy": max(h.test_accuracy for h in history),
-                "params": archspec.param_count(pruned),
-                "flops": pruned_flops,
-                "retrain_epochs": epochs,
-            }
+            return {"structure": list(final_structure),
+                    **self._fit(net, "retrain", epochs, "final_trace.csv", "final.ckpt"),
+                    "retrain_epochs": epochs}
         return self._stage("retrain", "retrain.json", compute, resume,
                            checkpoint="final.ckpt", widths="structure",
                            keys=("accuracy", "params", "flops", "retrain_epochs"))
@@ -416,19 +406,9 @@ class ExperimentRun:
             report = self._report(
                 coarse_structure=list(coarse_saved["structure"]),
                 final_structure=list(retrain_saved["structure"]),
-                baseline={
-                    "accuracy": baseline_meta["accuracy"],
-                    "params": baseline_meta["params"],
-                    "flops": baseline_meta["flops"],
-                    "epochs": baseline_meta["epochs"],
-                },
-                final={
-                    "accuracy": retrain_saved["accuracy"],
-                    "params": retrain_saved["params"],
-                    "flops": retrain_saved["flops"],
-                    "param_drop_percent": param_drop,
-                    "flop_drop_percent": flop_drop,
-                },
+                baseline={k: baseline_meta[k] for k in ("accuracy", "params", "flops", "epochs")},
+                final={**{k: retrain_saved[k] for k in ("accuracy", "params", "flops")},
+                       "param_drop_percent": param_drop, "flop_drop_percent": flop_drop},
                 retrain_epochs=retrain_saved["retrain_epochs"],
                 normalization={
                     "mean": self.train_set.metadata.get("standardize_mean"),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from .errors import PruneKitError
 from .util import round_half_even, write_text_atomic
 
 TABLE_COLUMNS = ("Dataset", "Model", "Acc/%", "Acc.drop/%", "Parameters",
@@ -55,8 +56,15 @@ class RunReport:
 
     @classmethod
     def load(cls, path) -> "RunReport":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """The report saved at ``path``; a file that does not hold one is an
+        error naming the file and what is wrong."""
+        try:
+            with open(path) as fh:
+                return cls.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise PruneKitError(f"{path} is not valid JSON: {exc}") from exc
+        except TypeError as exc:
+            raise PruneKitError(f"{path} is not a run report: {exc}") from exc
 
 
 def _millions(count) -> str:

@@ -101,7 +101,8 @@ def init_population(coarse, bounds, evaluator, config: SwarmConfig,
     Particle i (1-indexed) starts at clamp(coarse + i * delta, 1, bounds)
     with delta drawn per layer from {-1, 0, 1}. RNG draw order: one delta
     vector per particle in particle order, then one uniform velocity vector
-    per particle in particle order.
+    per particle in particle order. The particles are then scored as
+    iteration 0.
     """
     coarse = np.asarray(tuple(coarse), dtype=np.int64)
     bounds_arr = np.asarray(tuple(bounds), dtype=np.int64)
@@ -121,25 +122,11 @@ def init_population(coarse, bounds, evaluator, config: SwarmConfig,
     for pos in positions:
         vel = rng.uniform(-config.v_max, config.v_max, size=L)
         particles.append(Particle(pos, vel, (), -np.inf))
-
-    records = []
-    for idx, p in enumerate(particles):
-        structure = evaluated_structure(p.position, bounds_arr)
-        fitness = _evaluate(evaluator, structure, 0, idx)
-        p.pbest = tuple(structure)
-        p.pbest_fitness = fitness
-        records.append({"iteration": 0, "particle": idx,
-                        "structure": list(structure), "fitness": fitness,
-                        "is_pbest": True, "is_gbest": False})
-    best_idx = 0
-    for idx in range(1, len(particles)):
-        if particles[idx].pbest_fitness > particles[best_idx].pbest_fitness:
-            best_idx = idx
-    records[best_idx]["is_gbest"] = True
+    state = SwarmState(particles, (), -np.inf, 0, rng)
+    records = _score(state, 0, bounds_arr, evaluator, config)
     if trace is not None:
         trace.extend(records)
-    return SwarmState(particles, particles[best_idx].pbest,
-                      particles[best_idx].pbest_fitness, 0, rng)
+    return state
 
 
 def update_velocity(particle: Particle, gbest, t: int, config: SwarmConfig, rng):
@@ -166,14 +153,55 @@ def update_position(particle: Particle, config: SwarmConfig):
 
 
 def _evaluate(evaluator, structure, iteration, particle_idx):
+    where = f"at iteration {iteration}, particle {particle_idx}"
     try:
-        return float(evaluator.evaluate(structure))
+        fitness = float(evaluator.evaluate(structure))
     except PruneKitError:
         raise
     except Exception as exc:
-        raise PruneKitError(
-            f"fitness evaluation failed at iteration {iteration}, "
-            f"particle {particle_idx}: {exc}") from exc
+        raise PruneKitError(f"fitness evaluation failed {where}: {exc}") from exc
+    if not np.isfinite(fitness):
+        raise PruneKitError(f"fitness {fitness} {where} is not finite")
+    return fitness
+
+
+def _score(state: SwarmState, t: int, bounds, evaluator, config: SwarmConfig) -> list:
+    """One pass over the swarm at iteration ``t``: move each particle (from
+    t = 1 on), evaluate it, update its pbest and the gbest, and return the
+    pass's trace records. "immediate" mode updates the gbest inside the pass
+    from t = 1 on; otherwise it is the first highest pbest after the pass,
+    if that beats the old gbest."""
+    immediate = t > 0 and config.gbest_update == GBEST_IMMEDIATE
+    gbest_before = state.gbest
+    records = []
+    for idx, p in enumerate(state.particles):
+        if t > 0:
+            update_velocity(p, state.gbest if immediate else gbest_before, t, config, state.rng)
+            update_position(p, config)
+        structure = evaluated_structure(p.position, bounds)
+        fitness = _evaluate(evaluator, structure, t, idx)
+        improved = fitness > p.pbest_fitness
+        if improved:
+            p.pbest = tuple(structure)
+            p.pbest_fitness = fitness
+        records.append({"iteration": t, "particle": idx,
+                        "structure": list(structure), "fitness": fitness,
+                        "is_pbest": improved, "is_gbest": False})
+        if immediate and improved and fitness > state.gbest_fitness:
+            state.gbest = p.pbest
+            state.gbest_fitness = p.pbest_fitness
+            records[idx]["is_gbest"] = True
+    if not immediate:
+        new_best_idx = None
+        for idx, p in enumerate(state.particles):
+            if p.pbest_fitness > state.gbest_fitness:
+                state.gbest = p.pbest
+                state.gbest_fitness = p.pbest_fitness
+                new_best_idx = idx
+        if new_best_idx is not None:
+            records[new_best_idx]["is_gbest"] = True
+    state.iteration = t
+    return records
 
 
 def _state_to_dict(state: SwarmState) -> dict:
@@ -272,37 +300,7 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
             write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
 
     while state.iteration < config.iterations:
-        t = state.iteration + 1
-        records = []
-        gbest_before = state.gbest
-        new_best_idx = None
-        for idx, p in enumerate(state.particles):
-            visible_gbest = state.gbest if config.gbest_update == GBEST_IMMEDIATE else gbest_before
-            update_velocity(p, visible_gbest, t, config, state.rng)
-            update_position(p, config)
-            structure = evaluated_structure(p.position, bounds_arr)
-            fitness = _evaluate(evaluator, structure, t, idx)
-            improved = fitness > p.pbest_fitness
-            if improved:
-                p.pbest = tuple(structure)
-                p.pbest_fitness = fitness
-            records.append({"iteration": t, "particle": idx,
-                            "structure": list(structure), "fitness": fitness,
-                            "is_pbest": improved, "is_gbest": False})
-            if config.gbest_update == GBEST_IMMEDIATE and improved \
-                    and fitness > state.gbest_fitness:
-                state.gbest = p.pbest
-                state.gbest_fitness = p.pbest_fitness
-                records[idx]["is_gbest"] = True
-        if config.gbest_update == GBEST_ITERATION:
-            for idx, p in enumerate(state.particles):
-                if p.pbest_fitness > state.gbest_fitness:
-                    state.gbest = p.pbest
-                    state.gbest_fitness = p.pbest_fitness
-                    new_best_idx = idx
-            if new_best_idx is not None:
-                records[new_best_idx]["is_gbest"] = True
-        state.iteration = t
+        records = _score(state, state.iteration + 1, bounds_arr, evaluator, config)
         trace.extend(records)
         _append_trace(trace_path, records)
         if state_path is not None:

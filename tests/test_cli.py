@@ -99,3 +99,46 @@ def test_torn_swarm_state_on_resume_exits_2(tmp_path, capsys):
     assert cli.main(["search", "--config", config, "--out", out, "--resume"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: search stage: resumed {state} is not valid JSON")
+
+
+def test_wrong_typed_value_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, SMALL_RUN.replace("particles: 2", "particles: six"))
+    assert cli.main(["search", "--config", config, "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key swarm.particles must be an integer, got 'six'")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_bad_trainer_value_exits_2_before_any_run_directory(tmp_path, capsys):
+    config = write_config(tmp_path, SMALL_RUN + "  momentum: 1.5\n")
+    assert cli.main(["coarse", "--config", config, "--out", str(tmp_path / "runs")]) == 2
+    assert "momentum must be in [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_torn_report_json_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    config = write_config(tmp_path, SMALL_RUN)
+    assert cli.main(["run", "--config", config, "--out", out]) == 0
+    (run_dir,) = os.listdir(out)
+    report = os.path.join(out, run_dir, "report.json")
+    with open(report, "r+") as fh:
+        fh.truncate(len(fh.read()) // 2)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {report} is not valid JSON")
+
+
+def test_flags_override_the_config_file(tmp_path):
+    config = write_config(tmp_path, SMALL_RUN)
+    args = cli.build_parser().parse_args(
+        ["run", "--config", config, "--epsilon", "0.2", "--minpts", "2", "--particles", "3",
+         "--iterations", "4", "--proxy-epochs", "2", "--seed", "9", "--out", "o",
+         "--dump-similarity"])
+    cfg = cli._config_from_args(args)
+    assert (cfg.epsilon, cfg.min_pts, cfg.seed, cfg.out_dir, cfg.dump_similarity) == \
+        (0.2, 2, 9, "o", True)
+    assert (cfg.swarm.particles, cfg.swarm.iterations, cfg.swarm.proxy_epochs) == (3, 4, 2)
+    assert cfg.sample_count == 16 and cfg.trainer.batch_size == 16
+    bare = cli._config_from_args(cli.build_parser().parse_args(["run", "--config", config]))
+    assert (bare.swarm.particles, bare.dump_similarity, bare.out_dir) == (2, False, "runs")

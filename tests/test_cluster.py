@@ -71,9 +71,12 @@ class TestDbscan:
         assert len({out.labels[i] for i in (4, 5, 6)}) == 1
         assert out.labels[0] != out.labels[4]
 
-    def test_min_pts_above_point_count_rejected(self):
-        with pytest.raises(BoundsError):
-            dbscan(np.zeros((3, 3)), NeighborhoodParams(0.1, 4))
+    def test_min_pts_above_point_count_is_all_noise(self):
+        # even three identical channels cannot reach a density of four
+        out = dbscan(np.zeros((3, 3)), NeighborhoodParams(0.1, 4))
+        assert list(out.labels) == [NOISE] * 3
+        assert not out.core_flags.any()
+        assert coarse_channel_count(out) == 3
 
     def test_boundary_distance_is_within_neighborhood(self):
         # eps comparison is inclusive: d == eps counts as a neighbor
@@ -234,6 +237,55 @@ class TestCoarsePrune:
         structure, _ = coarse_prune(
             template, net, train_set.images[:48], NeighborhoodParams(1e-6, 2))
         assert list(structure.channels) == list(template.original_structure().channels)
+
+
+# (clusters, noise) per slot of a template whose convs have 1, 2, 4 and 3
+# channels: a lone channel is one cluster at min_pts 1 and noise above it,
+# and a layer narrower than min_pts is all noise
+THIN_REPORTS = {
+    (0.05, 1): [(1, 0), (2, 0), (2, 0), (2, 0)],
+    (0.05, 2): [(0, 1), (0, 2), (1, 1), (1, 1)],
+    (0.05, 3): [(0, 1), (0, 2), (1, 1), (0, 3)],
+    (0.05, 4): [(0, 1), (0, 2), (0, 4), (0, 3)],
+    (0.05, 5): [(0, 1), (0, 2), (0, 4), (0, 3)],
+    (1.0, 1): [(1, 0), (1, 0), (1, 0), (1, 0)],
+    (1.0, 2): [(0, 1), (1, 0), (1, 0), (1, 0)],
+    (1.0, 3): [(0, 1), (0, 2), (1, 0), (1, 0)],
+    (1.0, 4): [(0, 1), (0, 2), (1, 0), (0, 3)],
+    (1.0, 5): [(0, 1), (0, 2), (0, 4), (0, 3)],
+}
+
+
+class TestThinLayers:
+    @pytest.fixture(scope="class")
+    def thin(self):
+        defs = []
+        for width in (1, 2, 4, 3):
+            defs += [LayerDef("conv", out_channels=width), LayerDef("activation")]
+        template = assemble("thin", (3, 8, 8), 2, defs + [LayerDef("classifier-head")])
+        images = np.random.default_rng(0).normal(size=(16, 3, 8, 8)).astype(np.float32)
+        return template, Network(template, seed=0), images
+
+    @pytest.mark.parametrize("eps,min_pts", sorted(THIN_REPORTS))
+    def test_reports_pinned(self, thin, eps, min_pts):
+        template, net, images = thin
+        structure, reports = coarse_prune(template, net, images,
+                                          NeighborhoodParams(eps, min_pts))
+        got = [(r.slot, r.original_channels, r.clusters, r.noise, r.coarse_channels)
+               for r in reports]
+        want = [(slot, width, clusters, noise, clusters + noise)
+                for slot, width, (clusters, noise)
+                in zip((0, 2, 4, 6), (1, 2, 4, 3), THIN_REPORTS[eps, min_pts])]
+        assert got == want
+        assert list(structure) == [r.coarse_channels for r in reports]
+
+    def test_every_layer_reaches_the_similarity_sink(self, thin):
+        template, net, images = thin
+        sims = {}
+        coarse_prune(template, net, images, NeighborhoodParams(0.05, 3),
+                     similarity_sink=sims.__setitem__)
+        assert sorted(sims) == [0, 2, 4, 6]
+        assert sims[0].entries.tolist() == [[1.0]]
 
 
 class TestCoarsePruneMemory:

@@ -73,9 +73,12 @@ class TestSimilarity:
         assert sim[0, 2] == 0.0
         assert sim[1, 2] == pytest.approx(1.0)
 
-    def test_single_channel_rejected(self):
-        with pytest.raises(BoundsError):
-            similarity(ChannelMeanMaps(0, np.zeros((1, 2, 2))))
+    def test_single_channel_is_one(self):
+        # a dead lone channel too: every channel is 1 with itself
+        for fill in (0.0, 2.5):
+            sim = similarity(ChannelMeanMaps(0, np.full((1, 2, 2), fill)))
+            assert sim.entries.tolist() == [[1.0]]
+            assert distance_matrix(sim).tolist() == [[0.0]]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_experiment_config
+from test_data import write_fake_cifar
 
 from prunekit import archspec, pipeline
 from prunekit.errors import BoundsError, PruneKitError
@@ -150,6 +151,50 @@ trainer:
     def test_section_must_be_mapping(self):
         with pytest.raises(PruneKitError, match="config swarm must be a mapping"):
             pipeline.config_from_dict({"swarm": 3})
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"epsilon": "abc"}, "epsilon"),
+        ({"baseline_epochs": [1]}, "baseline_epochs"),
+        ({"template": 7}, "template"),
+        ({"swarm": {"particles": "six"}}, "swarm.particles"),
+        ({"dataset": {"train_size": "many"}}, "dataset.train_size"),
+        ({"trainer": {"lr_drops": 5}}, "trainer.lr_drops"),
+        ({"trainer": {"lr_drops": [5]}}, "trainer.lr_drops"),
+        ({"trainer": {"lr_drops": [[0.5, "ten"]]}}, "trainer.lr_drops"),
+        ({"neighborhood": {"min_pts": 2.5}}, "neighborhood.min_pts"),
+        ({"out": 3}, "out"),
+        ({"dump_similarity": 1}, "dump_similarity"),
+        ({"swarm": {"particles": True}}, "swarm.particles"),
+        ({"swarm": {"seed": "x"}}, "swarm.seed"),
+    ])
+    def test_wrong_type_named(self, raw, key):
+        with pytest.raises(PruneKitError, match=rf"\b{key} must be a"):
+            pipeline.config_from_dict(raw)
+
+    def test_int_for_float_list_for_tuple_and_null_seed_accepted(self):
+        cfg = pipeline.config_from_dict({"epsilon": 1, "swarm": {"seed": None, "v_max": 3},
+                                         "trainer": {"lr_drops": [[0.5, 10]]}})
+        assert cfg.epsilon == 1 and cfg.swarm.v_max == 3 and cfg.swarm.seed is None
+        assert cfg.trainer.lr_drops == ((0.5, 10),)
+
+    def test_bad_trainer_value_fails_at_load(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"out: {tmp_path / 'runs'}\ntrainer:\n  momentum: 1.5\n")
+        with pytest.raises(BoundsError, match="momentum"):
+            pipeline.load_config(path)
+        assert not (tmp_path / "runs").exists()
+
+    def test_readme_configuration_block_loads(self, tmp_path):
+        """README's Configuration example is a config the loader accepts."""
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            readme = fh.read()
+        section = readme[readme.index("## Configuration"):]
+        start = section.index("```yaml\n") + len("```yaml\n")
+        path = tmp_path / "readme.yaml"
+        path.write_text(section[start:section.index("```", start)])
+        cfg = pipeline.load_config(path)
+        assert (cfg.template, cfg.epsilon, cfg.min_pts) == ("tiny4", 0.05, 3)
+        assert cfg.swarm.particles == 6 and cfg.trainer.lr_drops == ((0.5, 10.0), (0.75, 10.0))
 
 
 class TestDeskRun:
@@ -312,6 +357,17 @@ class TestFailureRecording:
         with pytest.raises(PruneKitError, match="input shape"):
             pipeline.run(bad)
 
+    def test_class_count_mismatch_rejected_up_front(self, tmp_path):
+        root = tmp_path / "cifar"
+        root.mkdir()
+        write_fake_cifar(root)
+        config = pipeline.config_from_dict({
+            "template": "vgg16-cifar", "out": str(tmp_path / "runs"),
+            "dataset": {"name": "cifar10", "path": str(root)}})
+        with pytest.raises(PruneKitError, match=(
+                "dataset 'cifar10' has 10 classes but template vgg16-cifar has 4")):
+            pipeline.run(config)
+
     def test_stage_error_writes_failure_report(self, tmp_path, monkeypatch):
         import dataclasses
         # quick baseline so the failure fires fast
@@ -467,6 +523,37 @@ class TestResumeChecks:
         self.write_artifact(run, "search.json", "best", widths)
         assert tuple(run.stage_coarse(None, resume=True)[0]) == tuple(widths)
         assert tuple(run.stage_search(None, resume=True)[0]) == tuple(widths)
+
+
+class TestReportLoad:
+    def write(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        return str(path)
+
+    def test_round_trip(self, tmp_path):
+        report = TestRenderTable().make_report()
+        path = str(tmp_path / "report.json")
+        report.save(path)
+        assert RunReport.load(path) == report
+
+    def test_torn_file(self, tmp_path):
+        path = self.write(tmp_path, '{"dataset_name": "CIFAR10", "templ')
+        with pytest.raises(PruneKitError, match=rf"{path} is not valid JSON"):
+            RunReport.load(path)
+
+    def test_missing_field(self, tmp_path):
+        data = TestRenderTable().make_report().to_dict()
+        del data["final_structure"]
+        path = self.write(tmp_path, json.dumps(data))
+        with pytest.raises(PruneKitError,
+                           match=rf"{path} is not a run report: .*final_structure"):
+            RunReport.load(path)
+
+    def test_not_an_object(self, tmp_path):
+        path = self.write(tmp_path, "[]")
+        with pytest.raises(PruneKitError, match=rf"{path} is not a run report: .*list"):
+            RunReport.load(path)
 
 
 class TestRenderTable:

@@ -158,6 +158,21 @@ class TestInitPopulation:
         assert gbest_marks == [0]
 
 
+class TestNonFiniteFitness:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("call,iteration,particle", [(0, 0, 0), (7, 2, 1)])
+    def test_is_an_error_naming_iteration_and_particle(self, bad, call, iteration, particle):
+        calls = []
+
+        def fitness(structure):
+            calls.append(structure)
+            return bad if len(calls) == call + 1 else 1.0
+        with pytest.raises(PruneKitError, match=(
+                rf"fitness {bad} at iteration {iteration}, particle {particle} is not finite")):
+            search((3, 3), (6, 6), FnEvaluator(fitness),
+                   SwarmConfig(particles=3, iterations=3, seed=0))
+
+
 class TestUpdateEquations:
     def _particle(self, pos, vel, pbest, fit=0.0):
         return Particle(np.asarray(pos, dtype=np.float64),
