@@ -179,10 +179,9 @@ trainer:
 
     def test_bad_trainer_value_fails_at_load(self, tmp_path):
         path = tmp_path / "exp.yaml"
-        path.write_text(f"out: {tmp_path / 'runs'}\ntrainer:\n  momentum: 1.5\n")
+        path.write_text("trainer:\n  momentum: 1.5\n")
         with pytest.raises(BoundsError, match="momentum"):
             pipeline.load_config(path)
-        assert not (tmp_path / "runs").exists()
 
     def test_readme_configuration_block_loads(self, tmp_path):
         """README's Configuration example is a config the loader accepts."""
