@@ -9,7 +9,92 @@ C-contiguous (N, C, H, W) input gives the same values at the cost of a copy.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
+
+# A product of at least this many multiply-adds is split across the usable
+# CPUs. One BLAS thread on a 2-vCPU Xeon (OpenBLAS 0.3.31) ran halves of
+# 64x576xN and 512x4608xN no faster than the whole below 2^24 and 25-30%
+# faster from 2^25. Every tiny4 product stays below it (the largest, conv2 in
+# evaluation at batch 256, is 16x72x16384, about 2^24.2).
+_SPLIT_MACS = 1 << 25
+
+# helper threads, made on the first split and shared, like WORKSPACE, by
+# every Conv in the process
+_POOL = None
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_one_thread():
+    """Whether BLAS is pinned to one thread: every one of the variables
+    ``perfbench/run.py`` sets that is set reads 1. With none set, OpenBLAS
+    threads each product itself."""
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    values = [os.environ[var] for var in pins if var in os.environ]
+    return bool(values) and all(v.strip() == "1" for v in values)
+
+
+def _drop_pool():
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's threads
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _matmul(a, b, out):
+    """``np.matmul(a, b, out=out)`` for 2-D operands, with a large product
+    split across the usable CPUs when BLAS runs one thread.
+
+    The wider output dimension (columns, else rows) is cut into contiguous
+    pieces, one per CPU, each of about half ``_SPLIT_MACS`` multiply-adds or
+    more. The calling thread and helper threads compute the pieces, each into
+    its own slice of ``out``, and the inner dimension is never cut, so every
+    output element is the same BLAS sum as in the whole product. OpenBLAS
+    sums products below about 2^20 multiply-adds on another path, so pieces
+    stay far above that. Helper threads run only ``np.matmul``.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    macs, wide = m * k * n, max(m, n)
+    pieces = 1
+    if macs >= _SPLIT_MACS and _blas_one_thread():
+        pieces = min(_usable_cpus(), macs // (_SPLIT_MACS // 2), wide // 16)
+    if pieces < 2:
+        return np.matmul(a, b, out=out)
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="prunekit-gemm")
+    edges = [wide * i // pieces for i in range(pieces + 1)]
+    cuts = [np.s_[i:j] for i, j in zip(edges, edges[1:])]
+    if n >= m:
+        parts = [(a, b[:, cut], out[:, cut]) for cut in cuts]
+    else:
+        parts = [(a[cut], b, out[cut]) for cut in cuts]
+    futures = [_POOL.submit(np.matmul, x, y, out=o) for x, y, o in parts[1:]]
+    try:
+        x, y, o = parts[0]
+        np.matmul(x, y, out=o)
+        # helpers take pieces first to last; the caller takes back, last
+        # first, those no helper has started
+        for future, (x, y, o) in zip(reversed(futures), reversed(parts[1:])):
+            if future.cancel():
+                np.matmul(x, y, out=o)
+    finally:
+        # every piece a helper took is finished before ``out`` is handed back
+        errors = [future.exception() for future in futures if not future.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
+    return out
 
 
 def _pad(x, padding):
@@ -205,7 +290,7 @@ class Conv(Layer):
         for r0 in range(0, out_h, band):
             r1 = min(r0 + band, out_h)
             cols, _, _ = im2col(x, kh, kw, self.stride, 0, rows=(r0, r1), out=block)
-            np.matmul(w2d, cols, out=out[:, r0 * per_row:r1 * per_row])
+            _matmul(w2d, cols, out[:, r0 * per_row:r1 * per_row])
         return out, out_h, out_w, (cols if band == out_h else None)
 
     def backward(self, dout, input_grad=True):
@@ -220,11 +305,12 @@ class Conv(Layer):
             self._weight_grad_by_offset(x, dflat)
             del x  # the input gradient needs only the input's shape
             return self._input_grad_by_offset(x_shape, dtype, dflat) if input_grad else None
-        self.d_weight = (dflat @ cols.T).reshape(self.weight.shape)
+        d_weight = np.empty((out_c, cols.shape[0]), dtype=np.result_type(dflat, cols))
+        self.d_weight = _matmul(dflat, cols.T, d_weight).reshape(self.weight.shape)
         if not input_grad:
             return None
         # the weight gradient was the columns' last use
-        dcols = np.matmul(self.weight.reshape(out_c, -1).T, dflat, out=cols)
+        dcols = _matmul(self.weight.reshape(out_c, -1).T, dflat, cols)
         return col2im(dcols, x_shape, kh, kw, self.stride, self.padding)
 
     # Without kept columns, backward works one kernel offset (i, j) at a time
@@ -249,7 +335,7 @@ class Conv(Layer):
         d_weight = np.empty((kh, kw, out_c, in_c), dtype=np.result_type(dflat, x))
         for i, j, window in _windows(kh, kw, self.stride, (0, out_h), out_w):
             block[...] = xpad[window]
-            np.matmul(dflat, flat.T, out=d_weight[i, j])
+            _matmul(dflat, flat.T, d_weight[i, j])
         self.d_weight = d_weight.transpose(2, 3, 0, 1)
 
     def _input_grad_by_offset(self, x_shape, dtype, dflat):
@@ -261,7 +347,7 @@ class Conv(Layer):
         flat = block.reshape(in_c, -1)
         dx = np.zeros((in_c, h + 2 * p, w + 2 * p, n), dtype=dtype)
         for i, j, window in _windows(kh, kw, self.stride, (0, out_h), out_w):
-            np.matmul(np.ascontiguousarray(self.weight[:, :, i, j]).T, dflat, out=flat)
+            _matmul(np.ascontiguousarray(self.weight[:, :, i, j]).T, dflat, flat)
             dx[window] += block
         if p:
             dx = dx[:, p:-p, p:-p]

@@ -71,7 +71,8 @@ class TrainerConfig:
                 and all(type(x) in (int, float) for x in d) for d in drops):
             raise PruneKitError(
                 f"trainer.lr_drops must be a list of [fraction, divisor] pairs, got {drops!r}")
-        object.__setattr__(self, "lr_drops", tuple(tuple(d) for d in drops))
+        # floats, so that [0.5, 10] names the same experiment as [0.5, 10.0]
+        object.__setattr__(self, "lr_drops", tuple(tuple(float(x) for x in d) for d in drops))
         TrainConfig(**asdict(self))  # validates
 
     def train_config(self, epochs: int, seed: int) -> TrainConfig:
@@ -158,7 +159,8 @@ def _value(key: str, value, f):
     dataclass is built from its mapping, every key known; any other value
     must fit the type of the field's default: an int serves for a float, a
     list for a tuple and an int for a None default, and a bool fits only a
-    bool."""
+    bool. An int given for a float is returned as that float, so that both
+    spellings hash alike."""
     section = f.default_factory
     if is_dataclass(section):
         known = {g.name: g for g in fields(section)}
@@ -167,7 +169,7 @@ def _value(key: str, value, f):
     accepts, name = _ACCEPTS[type(f.default)]
     if isinstance(value, bool) != isinstance(f.default, bool) or not isinstance(value, accepts):
         raise PruneKitError(f"config key {key} must be {name}, got {value!r}")
-    return value
+    return float(value) if type(f.default) is float else value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -212,7 +214,6 @@ class ExperimentRun:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.run_dir = config.run_dir()
-        os.makedirs(self.run_dir, exist_ok=True)
         cfg = config.dataset
         self.template = archspec.get_template(config.template, num_classes=cfg.num_classes)
         spec = None
@@ -228,6 +229,8 @@ class ExperimentRun:
                 f"dataset {cfg.name!r} has {self.train_set.num_classes} "
                 f"classes but template {self.template.name} has "
                 f"{self.template.num_classes}; set dataset.num_classes to match")
+        # only a dataset that fits the template gets a run directory
+        os.makedirs(self.run_dir, exist_ok=True)
         self.stage_seconds: dict = {}
 
     def path(self, name: str) -> str:

@@ -1,5 +1,11 @@
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -881,3 +887,218 @@ class TestDeterministicInit:
         a, b = Network(t, seed=9), Network(t, seed=10)
         assert any(not np.array_equal(x, y)
                    for x, y in zip(a.params().values(), b.params().values()))
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that records every callable it is handed."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.calls = []
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls.append(fn)
+        self.futures.append(super().submit(fn, *args, **kwargs))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def gemm_split(monkeypatch):
+    """Split conv products whatever runner the tests are on: BLAS counts as
+    one thread, the cutoff is 2^24 multiply-adds, and the pool records what
+    it runs. Returns ``(pool, use)``; ``use(cpus)`` sets the usable CPU
+    count, where 1 keeps every product whole."""
+    pool = RecordingPool(max_workers=3)
+    cpus = [1]
+    monkeypatch.setattr(layers, "_POOL", pool)
+    monkeypatch.setattr(layers, "_blas_one_thread", lambda: True)
+    monkeypatch.setattr(layers, "_SPLIT_MACS", 1 << 24)
+    monkeypatch.setattr(layers, "_usable_cpus", lambda: cpus[0])
+    yield pool, lambda n: cpus.__setitem__(0, n)
+    pool.shutdown()
+
+
+def vgg16_conv_shapes():
+    """(in_channels, out_channels, side) of each distinct conv of vgg16-cifar;
+    every one is 3x3, stride 1, padding 1."""
+    return sorted({(s.in_channels, s.out_channels, s.out_spatial[0])
+                   for s in archspec.vgg16_cifar(10).layers if s.kind == archspec.KIND_CONV})
+
+
+def shape_id(value):
+    return "x".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+def conv_run(shape, batch, train):
+    """A seeded vgg16 conv and batch; the returned call runs its forward, and
+    in training its backward, and gives the output, then the weight, bias
+    and input gradients."""
+    in_c, out_c, side = shape
+    rng = np.random.default_rng(in_c * 1000 + out_c)
+    conv = Conv(in_c, out_c, (3, 3), 1, 1, True, rng, np.float32)
+    conv.bias[...] = rng.normal(size=out_c)
+    x = batch_innermost(rng.standard_normal((batch, in_c, side, side), dtype=np.float32))
+    dout = batch_innermost(rng.standard_normal((batch, out_c, side, side), dtype=np.float32))
+
+    def run():
+        out = conv.forward(x, train)
+        if not train:
+            return [out]
+        dx = conv.backward(dout)
+        return [out, conv.d_weight, conv.d_bias, dx]
+    return run
+
+
+class TestSplitGemm:
+    """Large conv products split across threads give the serial run's bits."""
+
+    KEPT = 1 << 40  # a Conv.BAND_BYTES that keeps every conv's columns
+
+    def split_equals_serial(self, gemm_split, run):
+        pool, use = gemm_split
+        use(1)
+        serial = run()
+        assert not pool.calls
+        use(2)
+        split = run()
+        assert pool.calls and all(fn is np.matmul for fn in pool.calls)
+        for a, b in zip(serial, split, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("batch", [32, 64])
+    @pytest.mark.parametrize("shape", vgg16_conv_shapes(), ids=shape_id)
+    def test_eval_forward(self, shape, batch, gemm_split):
+        self.split_equals_serial(gemm_split, conv_run(shape, batch, train=False))
+
+    @pytest.mark.parametrize("batch", [32, 64])
+    @pytest.mark.parametrize("shape", vgg16_conv_shapes(), ids=shape_id)
+    def test_training_with_kept_columns(self, shape, batch, gemm_split, monkeypatch):
+        monkeypatch.setattr(Conv, "BAND_BYTES", self.KEPT)
+        self.split_equals_serial(gemm_split, conv_run(shape, batch, train=True))
+
+    # conv1 (3 input channels) by offset reaches the cutoff only at batch 128
+    @pytest.mark.parametrize("shape, batch", [
+        (shape, batch) for batch in (32, 64, 128) for shape in vgg16_conv_shapes()
+        if shape[0] > 3 or batch == 128], ids=shape_id)
+    def test_training_by_offset(self, shape, batch, gemm_split, monkeypatch):
+        in_c, _, side = shape
+        # two bands of columns, so backward works by offset
+        monkeypatch.setattr(Conv, "BAND_BYTES", in_c * 9 * side * side * batch * 4 // 2)
+        self.split_equals_serial(gemm_split, conv_run(shape, batch, train=True))
+
+    @pytest.mark.parametrize("m, k, n, transposed", [
+        (64, 576, 2048, False), (128, 1152, 4096, False), (512, 4608, 256, False),
+        (64, 32768, 64, True), (512, 2048, 512, True), (256, 2304, 1024, False)])
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_uneven_pieces(self, m, k, n, transposed, cpus, gemm_split):
+        """Pieces need not be equal or multiples of 16 wide; a transposed
+        operand is split as its view."""
+        pool, use = gemm_split
+        rng = np.random.default_rng(m + n)
+        a = rng.standard_normal((m, k), dtype=np.float32)
+        b = rng.standard_normal((n, k), dtype=np.float32).T if transposed else \
+            rng.standard_normal((k, n), dtype=np.float32)
+        use(cpus)
+        out = layers._matmul(a, b, np.empty((m, n), dtype=np.float32))
+        pieces = min(cpus, m * k * n // (layers._SPLIT_MACS // 2), max(m, n) // 16)
+        assert len(pool.calls) == pieces - 1
+        assert np.array_equal(out, a @ b)
+
+    def test_a_failed_piece_raises_after_every_piece_ends(self, gemm_split):
+        pool, use = gemm_split
+        use(4)
+        a = np.ones((64, 576), dtype=np.float32)
+        b = np.ones((576, 4096), dtype=np.float32)
+        with pytest.raises(TypeError) as whole:
+            np.matmul(a, b, out=np.empty((64, 4096), dtype=np.int32))
+        with pytest.raises(TypeError) as split:
+            layers._matmul(a, b, np.empty((64, 4096), dtype=np.int32))
+        assert str(split.value) == str(whole.value)
+        assert len(pool.futures) == 3 and all(f.done() for f in pool.futures)
+
+    def test_only_the_calling_thread_runs_prunekit_code(self, gemm_split, monkeypatch):
+        """Helper threads run np.matmul alone, so a tracer that wraps im2col
+        and every layer's forward and backward sees one thread."""
+        pool, use = gemm_split
+        use(2)
+        threads = set()
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                threads.add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return call
+        monkeypatch.setattr(layers, "im2col", recorded(layers.im2col))
+        for cls in (Conv, BatchNorm, ReLU, MaxPool, Linear):
+            for name in ("forward", "backward"):
+                monkeypatch.setattr(cls, name, recorded(getattr(cls, name)))
+        defs = [LayerDef(archspec.KIND_CONV, out_channels=64, kernel=3, stride=1, padding=1),
+                LayerDef(archspec.KIND_BN), LayerDef(archspec.KIND_ACT),
+                LayerDef(archspec.KIND_CONV, out_channels=64, kernel=3, stride=1, padding=1),
+                LayerDef(archspec.KIND_ACT), LayerDef(archspec.KIND_POOL, kernel=2, stride=2),
+                LayerDef(archspec.KIND_HEAD)]
+        net = Network(assemble("split", (3, 32, 32), 10, defs), seed=0)
+        x = np.random.default_rng(0).standard_normal((32, 3, 32, 32), dtype=np.float32)
+        net.loss_and_grads(x, np.arange(32) % 10)
+        net.forward(x, train=False)
+        assert pool.calls and all(fn is np.matmul for fn in pool.calls)
+        assert threads == {threading.main_thread()}
+
+    def test_desk_training_starts_no_pool(self):
+        """tiny4 at the desk's batch sizes, on a runner forced to look like
+        a two-CPU machine with one BLAS thread: no product reaches the
+        cutoff, so no pool is made and nothing new is imported."""
+        script = textwrap.dedent("""
+            import sys
+            from prunekit import archspec, data
+            from prunekit.nncore import Network, TrainConfig, layers, train
+            layers._usable_cpus = lambda: 2
+            layers._blas_one_thread = lambda: True
+            train_set, test_set = data.make_blobs(data.SyntheticSpec(
+                num_classes=4, train_size=256, test_size=256, image_size=16, seed=0))
+            net = Network(archspec.tiny4(num_classes=4), seed=0)
+            train(net, train_set.images, train_set.labels, test_set.images,
+                  test_set.labels, TrainConfig(epochs=1, batch_size=128, seed=0))
+            assert layers._POOL is None
+            assert "concurrent.futures" not in sys.modules
+        """)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_has_no_pool(self, monkeypatch):
+        monkeypatch.setattr(layers, "_blas_one_thread", lambda: True)
+        monkeypatch.setattr(layers, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((64, 576), dtype=np.float32)
+        b = rng.standard_normal((576, 2048), dtype=np.float32)
+        layers._matmul(a, b, np.empty((64, 2048), dtype=np.float32))
+        assert layers._POOL is not None
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                if layers._POOL is None:
+                    out = layers._matmul(a, b, np.empty((64, 2048), dtype=np.float32))
+                    status = 0 if layers._POOL is not None and np.array_equal(out, a @ b) else 2
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.parametrize("env, one", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+    ({"OMP_NUM_THREADS": "2"}, False),
+])
+def test_blas_one_thread_reads_the_pinning_variables(env, one, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert layers._blas_one_thread() is one

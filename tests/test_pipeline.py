@@ -81,6 +81,21 @@ class TestConfigIdentity:
             dataclasses.replace(base, sample_count=0)
 
 
+    @pytest.mark.parametrize("as_int, as_float", [
+        ({"swarm": {"v_max": 4}}, {"swarm": {"v_max": 4.0}}),
+        ({"epsilon": 1}, {"epsilon": 1.0}),
+        ({"trainer": {"lr_drops": [[0.5, 10], [0.75, 10]]}}, {}),
+    ])
+    def test_int_given_for_a_float_hashes_as_the_float(self, as_int, as_float):
+        assert (pipeline.config_from_dict(as_int).config_hash()
+                == pipeline.config_from_dict(as_float).config_hash())
+
+    def test_default_and_desk_hashes_are_pinned(self, tmp_path):
+        # a change here moves every existing run to a new directory
+        assert pipeline.ExperimentConfig().config_hash() == "1fdc849cc8ba"
+        assert desk_experiment_config(tmp_path).config_hash() == "21ade6997cc0"
+
+
 class TestConfigLoading:
     def test_yaml_round_trip(self, tmp_path):
         text = """
@@ -355,6 +370,8 @@ class TestFailureRecording:
             config, dataset=dataclasses.replace(config.dataset, image_size=8))
         with pytest.raises(PruneKitError, match="input shape"):
             pipeline.run(bad)
+        assert not os.path.exists(bad.run_dir())
+        assert not os.listdir(tmp_path)
 
     def test_class_count_mismatch_rejected_up_front(self, tmp_path):
         root = tmp_path / "cifar"
@@ -366,6 +383,8 @@ class TestFailureRecording:
         with pytest.raises(PruneKitError, match=(
                 "dataset 'cifar10' has 10 classes but template vgg16-cifar has 4")):
             pipeline.run(config)
+        assert not os.path.exists(config.run_dir())
+        assert not (tmp_path / "runs").exists()
 
     def test_stage_error_writes_failure_report(self, tmp_path, monkeypatch):
         import dataclasses
