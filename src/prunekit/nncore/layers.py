@@ -59,8 +59,8 @@ def _matmul(a, b, out):
     more. The calling thread and helper threads compute the pieces, each into
     its own slice of ``out``, and the inner dimension is never cut, so every
     output element is the same BLAS sum as in the whole product. OpenBLAS
-    sums products below about 2^20 multiply-adds on another path, so pieces
-    stay far above that. Helper threads run only ``np.matmul``.
+    summed pieces under 2^20 multiply-adds in another order, so pieces stay
+    far above that. Helper threads run only ``np.matmul``.
     """
     (m, k), n = a.shape, b.shape[1]
     macs, wide = m * k * n, max(m, n)
@@ -73,7 +73,9 @@ def _matmul(a, b, out):
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
         _POOL = ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="prunekit-gemm")
-    edges = [wide * i // pieces for i in range(pieces + 1)]
+    # every cut at a multiple of 16, so only the last piece ends in the
+    # narrow tail the whole product has
+    edges = [16 * round(wide * i / pieces / 16) for i in range(pieces)] + [wide]
     cuts = [np.s_[i:j] for i, j in zip(edges, edges[1:])]
     if n >= m:
         parts = [(a, b[:, cut], out[:, cut]) for cut in cuts]
@@ -170,8 +172,9 @@ class Workspace:
     shape and dtype; each call may overwrite what the previous one handed
     out, so a caller uses one block at a time and keeps nothing in it past
     its own call. The one ``WORKSPACE`` below is shared by every ``Conv`` of
-    every ``Network`` in the process; nothing here runs on more than one
-    thread.
+    every ``Network`` in the process. Only the calling thread takes blocks;
+    a split GEMM's helper threads write into their slices of a block and
+    are done before ``_matmul`` returns.
     """
 
     def __init__(self):
