@@ -1,4 +1,5 @@
 import importlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -1064,29 +1065,35 @@ class TestSplitGemm:
             assert "concurrent.futures" not in sys.modules
         """)
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              timeout=120)
         assert done.returncode == 0, done.stderr
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_has_no_pool(self, monkeypatch):
+        monkeypatch.setattr(layers, "_POOL", None)
         monkeypatch.setattr(layers, "_blas_one_thread", lambda: True)
         monkeypatch.setattr(layers, "_usable_cpus", lambda: 2)
         rng = np.random.default_rng(0)
         a = rng.standard_normal((64, 576), dtype=np.float32)
         b = rng.standard_normal((576, 2048), dtype=np.float32)
         layers._matmul(a, b, np.empty((64, 2048), dtype=np.float32))
-        assert layers._POOL is not None
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                if layers._POOL is None:
-                    out = layers._matmul(a, b, np.empty((64, 2048), dtype=np.float32))
-                    status = 0 if layers._POOL is not None and np.array_equal(out, a @ b) else 2
-            finally:
-                os._exit(status)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+        parent_pool = layers._POOL
+        assert parent_pool is not None
+
+        def child():
+            # the parent's pool is gone, and the first split makes a new one
+            had_none = layers._POOL is None
+            out = layers._matmul(a, b, np.empty((64, 2048), dtype=np.float32))
+            sys.exit(0 if had_none and layers._POOL is not None
+                     and np.array_equal(out, a @ b) else 1)
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+        parent_pool.shutdown()
+        assert proc.exitcode == 0
 
 
 @pytest.mark.parametrize("env, one", [
