@@ -4,12 +4,16 @@ Usage:
 
     python scripts/bench_pairs.py --base REV --head REV --workload vgg --seeds 931-940
 
-Both revisions are checked out with ``git worktree`` into a temporary
-directory, so the working tree is not touched. Each seed gives one pair:
-``perfbench/run.py --workload W --seed S --trace 0`` runs once in each
-checkout, and which side runs first alternates from pair to pair. Run the
-pairs on an otherwise idle machine: the two sides are timed one after the
-other, never at the same time.
+Each seed gives one pair: ``perfbench/run.py --workload W --seed S --trace 0``
+runs once for each revision, and which side runs first alternates from pair
+to pair. Both sides of a pair run from one path, a ``git worktree`` made
+fresh for the pair in a temporary directory at the first side's revision
+and switched to the other's with ``git checkout --detach`` between the two
+runs, so the working tree is not touched. The checkout's path moves the
+``vgg`` ``peak_rss_mb`` between a few levels, so this cancels the path
+within a pair and samples it across pairs; each run records its path. Run
+the pairs on an otherwise idle machine: the two sides are timed one after
+the other, never at the same time.
 
 The file records both revisions, the environment the runs reported, every
 run's metrics and failed units, and per end-to-end metric of BENCHMARK.json
@@ -125,6 +129,32 @@ def compare(pairs: list, declared: list) -> dict:
     return out
 
 
+def run_pairs(revs: dict, workload: str, seeds: list, seconds: float, tmp: Path,
+              names: list) -> list:
+    """One pair per seed, both sides run from a worktree made for the pair
+    under ``tmp`` and removed after it; each run prints the metrics ``names``."""
+    pairs = []
+    for k, seed in enumerate(seeds):
+        order = ("base", "head") if k % 2 == 0 else ("head", "base")
+        checkout = Path(tempfile.mkdtemp(dir=tmp)) / "checkout"
+        git("worktree", "add", "--detach", str(checkout), revs[order[0]])
+        pair = {"seed": seed, "first": order[0]}
+        try:
+            for side in order:
+                if side != order[0]:
+                    git("checkout", "--detach", revs[side], cwd=checkout)
+                pair[side] = {**run_once(checkout, workload, seed, seconds),
+                              "path": str(checkout)}
+                m = pair[side]["metrics"]
+                print(f"seed {seed} {side}: " + " ".join(
+                    f"{name}={m.get(name, float('nan')):.4g}" for name in names)
+                    + f" failed={pair[side]['failed']}", flush=True)
+        finally:
+            git("worktree", "remove", "--force", str(checkout))
+        pairs.append(pair)
+    return pairs
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     seeds = seed_range(args.seeds)
@@ -133,26 +163,11 @@ def main(argv=None) -> int:
     label = args.label or f"{args.workload}_{revs['base'][:7]}_{revs['head'][:7]}"
     with open(ROOT / "BENCHMARK.json") as fh:
         declared = json.load(fh)["end_to_end"]
-    pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        checkouts = {side: Path(tmp) / side for side in revs}
         try:
-            for side, rev in revs.items():
-                git("worktree", "add", "--detach", str(checkouts[side]), rev)
-            for k, seed in enumerate(seeds):
-                order = ("base", "head") if k % 2 == 0 else ("head", "base")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run_once(checkouts[side], args.workload, seed, args.seconds)
-                    m = pair[side]["metrics"]
-                    print(f"seed {seed} {side}: " + " ".join(
-                        f"{d['name']}={m.get(d['name'], float('nan')):.4g}" for d in declared)
-                        + f" failed={pair[side]['failed']}", flush=True)
-                pairs.append(pair)
+            pairs = run_pairs(revs, args.workload, seeds, args.seconds, Path(tmp),
+                              [d["name"] for d in declared])
         finally:
-            for path in checkouts.values():
-                if path.exists():
-                    git("worktree", "remove", "--force", str(path))
             git("worktree", "prune")
     env = next((p[s]["env"] for p in pairs for s in ("base", "head") if p[s].get("env")), {})
     record = {

@@ -50,7 +50,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     for flag, (_, options) in _OVERRIDES.items():
         sub.add_argument(flag, **options)
     sub.add_argument("--resume", action="store_true",
-                     help="reuse completed stages and mid-search checkpoints")
+                     help="reuse completed stages and replay an interrupted search's trace")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,15 +11,16 @@ by a hash of the experiment configuration plus the seed:
 
 A finished baseline is always reused on rerun since it dominates cost.
 With ``resume=True`` every other completed stage is reused as well, and an
-interrupted search continues from its last iteration checkpoint; because
-each stage is deterministic given the config and seed, a resumed run ends
-in the same report as an uninterrupted one.
+interrupted search replays the whole lines of its trace; because each stage
+is deterministic given the config and seed, a resumed run ends in the same
+report as an uninterrupted one. One run at a time holds a run directory.
 
 All stage seeds are derived from the single experiment seed, so one integer
 pins the entire run.
 """
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -367,8 +368,8 @@ class ExperimentRun:
             trace_path = self.path("swarm_trace.jsonl")
             if resume:
                 # fitness is a pure function of the structure and the run's
-                # seed, so every structure the old trace scored, even past the
-                # state the search resumes from, needs no training again
+                # seed, so a structure the replayed trace scored and the search
+                # meets again later needs no training again
                 evaluator.cache.update((tuple(r["structure"]), r["fitness"])
                                        for r in swarm.read_trace(trace_path))
             result = swarm.search(
@@ -427,22 +428,32 @@ def run(config: ExperimentConfig, resume: bool = False,
     """Execute stages in order up to ``through`` (default: the full pipeline).
 
     Returns the RunReport when the report stage runs, else the last stage's
-    artifact dictionary.
+    artifact dictionary. The stages run under an exclusive lock on the run
+    directory; a run of a directory another run holds is an error naming it.
     """
     if through not in STAGES:
         raise BoundsError(f"unknown stage {through!r}; expected one of {STAGES}")
     last = STAGES.index(through)
     runner = ExperimentRun(config)
-    net, baseline_meta = runner.stage_baseline()
-    if last == 0:
-        return baseline_meta
-    coarse_structure, coarse_saved = runner.stage_coarse(net, resume=resume)
-    if last == 1:
-        return coarse_saved
-    best, search_saved = runner.stage_search(coarse_structure, resume=resume)
-    if last == 2:
-        return search_saved
-    retrain_saved = runner.stage_retrain(best, resume=resume)
-    if last == 3:
-        return retrain_saved
-    return runner.stage_report(baseline_meta, coarse_saved, retrain_saved)
+    lock = os.open(runner.run_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise PruneKitError(
+                f"run directory {runner.run_dir} is in use by another run") from None
+        net, baseline_meta = runner.stage_baseline()
+        if last == 0:
+            return baseline_meta
+        coarse_structure, coarse_saved = runner.stage_coarse(net, resume=resume)
+        if last == 1:
+            return coarse_saved
+        best, search_saved = runner.stage_search(coarse_structure, resume=resume)
+        if last == 2:
+            return search_saved
+        retrain_saved = runner.stage_retrain(best, resume=resume)
+        if last == 3:
+            return retrain_saved
+        return runner.stage_report(baseline_meta, coarse_saved, retrain_saved)
+    finally:
+        os.close(lock)

@@ -222,48 +222,6 @@ def _state_to_dict(state: SwarmState) -> dict:
     }
 
 
-def _state_from_dict(data: dict) -> SwarmState:
-    particles = [
-        Particle(np.asarray(p["position"], dtype=np.float64),
-                 np.asarray(p["velocity"], dtype=np.float64),
-                 tuple(int(v) for v in p["pbest"]),
-                 float(p["pbest_fitness"]))
-        for p in data["particles"]
-    ]
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = data["rng_state"]
-    return SwarmState(particles, tuple(int(v) for v in data["gbest"]),
-                      float(data["gbest_fitness"]), int(data["iteration"]), rng)
-
-
-def _load_state(state_path, config: SwarmConfig, slots: int) -> SwarmState:
-    """The state a resumed search continues from; a file that cannot be that
-    of this search's config and bounds is an error naming the file."""
-    where = f"search stage: resumed {state_path}"
-    try:
-        with open(state_path) as fh:
-            data = json.load(fh)
-    except ValueError as exc:
-        raise PruneKitError(f"{where} is not valid JSON: {exc}") from exc
-    try:
-        state = _state_from_dict(data)
-    except KeyError as exc:
-        raise PruneKitError(f"{where} has no {exc.args[0]!r} field") from exc
-    except (TypeError, ValueError) as exc:
-        raise PruneKitError(f"{where} is malformed: {exc}") from exc
-    if len(state.particles) != config.particles:
-        raise PruneKitError(f"{where} holds {len(state.particles)} particles, "
-                            f"the config asks for {config.particles}")
-    vectors = [("gbest", state.gbest)] + [
-        (f"particle {idx} {name}", getattr(p, name))
-        for idx, p in enumerate(state.particles) for name in ("position", "velocity", "pbest")]
-    for what, vector in vectors:
-        if np.shape(vector) != (slots,):
-            raise PruneKitError(f"{where}: {what} has shape {np.shape(vector)}, "
-                                f"expected ({slots},), one entry per prunable layer")
-    return state
-
-
 @dataclass
 class SearchResult:
     best: archspec.NetworkStructure
@@ -276,38 +234,31 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
            state_path=None, trace_path=None, resume=False) -> SearchResult:
     """Full swarm search refining ``coarse`` within [1, bounds] per layer.
 
-    With ``state_path`` the complete swarm state (including the RNG) is
-    persisted after initialization and after every iteration, and
-    ``resume=True`` continues from whatever iteration that file holds; a
-    resumed run reproduces the uninterrupted one exactly. ``trace_path``
-    collects one JSON line per fitness evaluation. Each iteration's lines are
-    appended before its state is saved, and a run first cuts the trace back
-    to the iterations its starting state covers (none on a fresh start), so
-    a crash between the two writes neither loses nor repeats a line. The
-    result's trace and history start from the lines kept, so with a
-    ``trace_path`` they cover the whole run, resumed or not.
+    ``trace_path`` collects one JSON line per fitness evaluation. With
+    ``state_path`` the complete swarm state (including the RNG) is written
+    after initialization and after every iteration, for inspection only.
+    The seed fixes every random draw, so the trace is a redo log:
+    ``resume=True`` reruns the search from iteration 0 on the whole lines of
+    the old trace (see ``_TraceLog``), so a resumed run reproduces the
+    uninterrupted one exactly. An old line that does not match, or is still
+    unused at the end, is an error naming the file and the line. Without
+    ``resume`` the trace starts empty. The result's trace and history cover
+    the whole run, resumed or not.
     """
     bounds_arr = np.asarray(tuple(bounds), dtype=np.int64)
-
-    state = None
-    if resume and state_path is not None and os.path.exists(state_path):
-        state = _load_state(state_path, config, bounds_arr.size)
-    trace = _cut_trace(trace_path, -1 if state is None else state.iteration)
-    if state is None:
-        state = init_population(coarse, bounds_arr, evaluator, config, trace=trace)
-        _append_trace(trace_path, trace)
+    log = _TraceLog(trace_path, resume, evaluator, config.particles)
+    state = init_population(coarse, bounds_arr, log, config, trace=log)
+    while True:
         if state_path is not None:
             write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
-
-    while state.iteration < config.iterations:
-        records = _score(state, state.iteration + 1, bounds_arr, evaluator, config)
-        trace.extend(records)
-        _append_trace(trace_path, records)
-        if state_path is not None:
-            write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
-
+        if state.iteration == config.iterations:
+            break
+        log.extend(_score(state, state.iteration + 1, bounds_arr, log, config))
+    if log.answered < len(log.lines):
+        raise log.error(log.answered,
+                        f"is past the end of this search's {log.answered} evaluations")
     return SearchResult(archspec.NetworkStructure(state.gbest),
-                        state.gbest_fitness, _history(trace), trace)
+                        state.gbest_fitness, _history(log.records), log.records)
 
 
 def _history(trace) -> list:
@@ -322,9 +273,9 @@ def _history(trace) -> list:
     return rows
 
 
-def _whole_lines(trace_path):
-    """(record, length in bytes) of each line of the trace, up to the first
-    line torn by a crash mid-append."""
+def _whole_lines(trace_path) -> list:
+    """(record, bytes) of each line of the trace, up to the first line torn
+    by a crash mid-append."""
     if trace_path is None or not os.path.exists(trace_path):
         return []
     lines = []
@@ -333,7 +284,7 @@ def _whole_lines(trace_path):
             try:
                 if not line.endswith(b"\n"):
                     break
-                lines.append((json.loads(line), len(line)))
+                lines.append((json.loads(line), line))
             except ValueError:
                 break
     return lines
@@ -344,19 +295,51 @@ def read_trace(trace_path) -> list:
     return [record for record, _ in _whole_lines(trace_path)]
 
 
-def _cut_trace(trace_path, iteration) -> list:
-    """Truncate the trace after its last whole line of an iteration <=
-    ``iteration`` and return the records it keeps; lines are in iteration
-    order."""
-    records, keep = [], 0
-    for record, size in _whole_lines(trace_path):
-        if record["iteration"] > iteration:
-            break
-        records.append(record)
-        keep += size
-    if trace_path is not None and os.path.exists(trace_path):
-        os.truncate(trace_path, keep)
-    return records
+class _TraceLog:
+    """One search's trace file and records, and the evaluator that replays a
+    resumed search's old trace. Its whole lines are kept and the file is cut
+    after them. ``evaluate`` answers the k-th evaluation with the k-th old
+    line's fitness once that line's iteration, particle and structure are
+    the search's there, and asks ``evaluator`` once the old lines are used
+    up. ``extend`` takes each pass's records: a replayed one must serialize
+    to its old line byte for byte, and the rest are appended to the file.
+    """
+
+    def __init__(self, trace_path, resume, evaluator, particles):
+        self.path = trace_path
+        self.lines = _whole_lines(trace_path) if resume else []
+        if trace_path is not None and os.path.exists(trace_path):
+            os.truncate(trace_path, sum(len(line) for _, line in self.lines))
+        self.evaluator = evaluator
+        self.particles = particles
+        self.answered = 0   # evaluations answered from old lines
+        self.records = []
+
+    def error(self, k, problem):
+        return PruneKitError(f"search stage: resumed {self.path} line {k + 1} {problem}")
+
+    def evaluate(self, structure) -> float:
+        k = self.answered
+        if k == len(self.lines):
+            return self.evaluator.evaluate(structure)
+        old = self.lines[k][0]
+        made = {"iteration": k // self.particles, "particle": k % self.particles,
+                "structure": list(structure)}
+        fitness = old.get("fitness") if isinstance(old, dict) else None
+        if not isinstance(fitness, float) or not np.isfinite(fitness) \
+                or {key: old.get(key) for key in made} != made:
+            raise self.error(k, f"does not match this search's {json.dumps(made)}")
+        self.answered += 1
+        return fitness
+
+    def extend(self, records) -> None:
+        start = len(self.records)
+        replayed = max(0, len(self.lines) - start)
+        self.records.extend(records)
+        for k, record in enumerate(records[:replayed], start):
+            if json.dumps(record).encode() + b"\n" != self.lines[k][1]:
+                raise self.error(k, f"does not match this search's {json.dumps(record)}")
+        _append_trace(self.path, records[replayed:])
 
 
 def _append_trace(trace_path, records) -> None:

@@ -84,6 +84,42 @@ class TestCompare:
         assert m["median_change"] is None and not m["head_better_beyond_base_iqr"]
 
 
+class TestRunPairs:
+    def test_both_sides_of_a_pair_share_one_fresh_path(self, tmp_path, monkeypatch):
+        """A pair's worktree is made at its first side's revision, switched
+        to the other's between the runs and removed after the pair."""
+        heads = {}    # worktree -> the revision it holds
+        commands, runs = [], []
+
+        def git(*args, cwd=None):
+            commands.append((args, cwd))
+            if args[:2] == ("worktree", "add"):
+                heads[args[3]] = args[4]
+            elif args[0] == "checkout":
+                heads[str(cwd)] = args[2]
+            elif args[:2] == ("worktree", "remove"):
+                del heads[args[3]]
+            return ""
+
+        def run_once(checkout, workload, seed, seconds):
+            runs.append((heads[str(checkout)], seed))
+            return {"seed": seed, "metrics": {"wall_s": 1.0}, "failed": 0}
+        monkeypatch.setattr(bench_pairs, "git", git)
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        revs = {"base": "b" * 40, "head": "h" * 40}
+        pairs = bench_pairs.run_pairs(revs, "vgg", [7, 8, 9], 1.0, tmp_path, ["wall_s"])
+
+        assert [p["first"] for p in pairs] == ["base", "head", "base"]
+        assert runs == [(revs["base"], 7), (revs["head"], 7), (revs["head"], 8),
+                        (revs["base"], 8), (revs["base"], 9), (revs["head"], 9)]
+        paths = [p["base"]["path"] for p in pairs]
+        assert [p["head"]["path"] for p in pairs] == paths
+        assert len(set(paths)) == len(pairs)
+        assert all(path.startswith(str(tmp_path)) for path in paths)
+        assert heads == {}    # every worktree was removed
+        assert [args[0] for args, _ in commands] == ["worktree", "checkout", "worktree"] * 3
+
+
 def write_bench(root, label, seeds, base_rss, head_rss):
     pairs = pairs_of("peak_rss_mb", list(zip(base_rss, head_rss)))
     declared = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.2}]

@@ -1,6 +1,13 @@
+import fcntl
+import json
 import os
+import re
+from dataclasses import replace
 
-from prunekit import cli
+import pytest
+
+from prunekit import cli, pipeline
+from prunekit.errors import PruneKitError
 
 # a whole run in about a second: tiny data, one epoch, two particles
 SMALL_RUN = """\
@@ -87,18 +94,68 @@ def test_both_spellings_of_a_setting_exit_2(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-def test_torn_swarm_state_on_resume_exits_2(tmp_path, capsys):
+def search_then_resume(tmp_path, capsys, change):
+    """Run the search stage, apply ``change`` to the run directory, delete
+    search.json and resume the search; return the directory's path, its
+    search.json before the resume, and the resumed run's exit code."""
     out = str(tmp_path / "runs")
     config = write_config(tmp_path, SMALL_RUN)
-    assert cli.main(["coarse", "--config", config, "--out", out]) == 0
+    assert cli.main(["search", "--config", config, "--out", out]) == 0
     (run_dir,) = os.listdir(out)
-    state = os.path.join(out, run_dir, "swarm_state.json")
-    with open(state, "w") as fh:
-        fh.write('{"iteration": 0, "particles": [')
+    run_dir = os.path.join(out, run_dir)
+    with open(os.path.join(run_dir, "search.json")) as fh:
+        searched = fh.read()
+    change(run_dir)
+    os.remove(os.path.join(run_dir, "search.json"))
     capsys.readouterr()
-    assert cli.main(["search", "--config", config, "--out", out, "--resume"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: search stage: resumed {state} is not valid JSON")
+    return run_dir, searched, cli.main(["search", "--config", config, "--out", out, "--resume"])
+
+
+def test_torn_swarm_state_does_not_stop_resume(tmp_path, capsys):
+    # swarm_state.json is written for inspection; a resume replays the trace
+    def tear(run_dir):
+        with open(os.path.join(run_dir, "swarm_state.json"), "w") as fh:
+            fh.write('{"iteration": 0, "particles": [')
+    run_dir, searched, code = search_then_resume(tmp_path, capsys, tear)
+    assert code == 0
+    with open(os.path.join(run_dir, "search.json")) as fh:
+        assert fh.read() == searched
+    with open(os.path.join(run_dir, "swarm_state.json")) as fh:
+        assert json.load(fh)["iteration"] == 1
+
+
+def test_doubled_trace_line_on_resume_exits_2(tmp_path, capsys):
+    def double_first_line(run_dir):
+        with open(os.path.join(run_dir, "swarm_trace.jsonl"), "r+") as fh:
+            lines = fh.readlines()
+            fh.seek(0)
+            fh.writelines(lines[:1] + lines)
+    run_dir, _, code = search_then_resume(tmp_path, capsys, double_first_line)
+    assert code == 2
+    trace = os.path.join(run_dir, "swarm_trace.jsonl")
+    assert capsys.readouterr().err.startswith(
+        f"error: search stage: resumed {trace} line 2 does not match this search's ")
+    assert not os.path.exists(os.path.join(run_dir, "search.json"))
+
+
+def test_run_directory_held_by_another_run_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    path = write_config(tmp_path, SMALL_RUN)
+    config = replace(pipeline.load_config(path), out_dir=out)
+    os.makedirs(config.run_dir())
+    held = os.open(config.run_dir(), os.O_RDONLY)
+    try:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(PruneKitError, match=rf"run directory {re.escape(config.run_dir())} "):
+            pipeline.run(config, through="baseline")
+        assert cli.main(["run", "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: run directory {config.run_dir()} ")
+        assert os.listdir(config.run_dir()) == []
+    finally:
+        os.close(held)
+    # a run releases the directory when it returns
+    pipeline.run(config, through="baseline")
+    pipeline.run(config, through="baseline")
 
 
 def test_wrong_typed_value_exits_2(tmp_path, capsys):

@@ -2,7 +2,6 @@ import json
 import os
 import shutil
 
-import numpy as np
 import pytest
 
 from conftest import desk_experiment_config
@@ -503,36 +502,6 @@ class TestResumeChecks:
             pipeline.run(config, resume=True)
         report = RunReport.load(os.path.join(config.run_dir(), "report.json"))
         assert report.failed_stage == stage
-
-    @pytest.mark.parametrize("text,problem", [
-        ('{"iteration": 1, "gbest": [', "is not valid JSON"),
-        ('{"iteration": 1, "gbest": [1, 1, 1, 1], "gbest_fitness": 0.5}',
-         "has no 'particles' field"),
-        ('{"iteration": 1, "particles": 3}', "is malformed"),
-    ])
-    def test_malformed_swarm_state(self, tmp_path, text, problem):
-        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
-        with open(run.path("swarm_state.json"), "w") as fh:
-            fh.write(text)
-        with pytest.raises(PruneKitError, match=rf"search stage: .*swarm_state\.json {problem}"):
-            run.stage_search(run.template.original_structure(), resume=True)
-        assert RunReport.load(run.path("report.json")).failed_stage == "search"
-
-    @pytest.mark.parametrize("particles,lengths,problem", [
-        (5, [4] * 5, "holds 5 particles, the config asks for 6"),
-        (6, [4, 4, 3, 4, 4, 4], r"particle 2 position has shape \(3,\), expected \(4,\)"),
-    ])
-    def test_swarm_state_of_another_search(self, tmp_path, particles, lengths, problem):
-        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
-        assert run.config.swarm.particles == 6 and len(run.template.prunable_slots) == 4
-        state = pipeline.swarm.SwarmState(
-            [pipeline.swarm.Particle(np.ones(n), np.zeros(4), (1, 1, 1, 1), 0.5)
-             for n in lengths], (1, 1, 1, 1), 0.5, 1, np.random.default_rng(0))
-        with open(run.path("swarm_state.json"), "w") as fh:
-            json.dump(pipeline.swarm._state_to_dict(state), fh)
-        with pytest.raises(PruneKitError, match=rf"search stage: .*swarm_state\.json.*{problem}"):
-            run.stage_search(run.template.original_structure(), resume=True)
-        assert RunReport.load(run.path("report.json")).failed_stage == "search"
 
     def test_valid_artifacts_are_reused(self, tmp_path):
         run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))

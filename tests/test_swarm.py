@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from prunekit.errors import BoundsError, PruneKitError
 from prunekit.nncore import TrainConfig
 from prunekit.swarm import (
     GBEST_IMMEDIATE,
+    GBEST_ITERATION,
     Particle,
     ProxyFitnessEvaluator,
     SwarmConfig,
@@ -377,12 +379,13 @@ class TestSearch:
         assert claimed == sorted(claimed)
         assert claimed[-1] == result.best_fitness
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
+    @pytest.mark.parametrize("gbest_update", [GBEST_ITERATION, GBEST_IMMEDIATE])
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, gbest_update):
         # crash mid-iteration, then resume with the same config: the result
         # and the accumulated trace must match an uninterrupted run exactly
         target = (6, 14)
         coarse, bounds = (10, 10), (20, 20)
-        cfg = SwarmConfig(particles=5, iterations=8, seed=17)
+        cfg = SwarmConfig(particles=5, iterations=8, seed=17, gbest_update=gbest_update)
 
         full = search(coarse, bounds, quadratic_well(target), cfg,
                       state_path=str(tmp_path / "full_state.json"),
@@ -469,6 +472,33 @@ class TestSearch:
         resumed, full = self.interrupted_then_resumed(
             tmp_path, monkeypatch, "_append_trace", torn)
         assert resumed == full
+
+    @pytest.mark.parametrize("case,bad_line", [
+        ("repeated line", 8), ("swapped lines", 7), ("line of another search", 7),
+        ("flag changed", 7), ("extra line", 21)])
+    def test_trace_that_does_not_match_is_an_error(self, tmp_path, case, bad_line):
+        """A resumed trace must be this search's own: the search stops at the
+        first line that is not the record it makes there, naming the file and
+        the line, and evaluates nothing."""
+        coarse, bounds = (10, 10), (20, 20)
+        cfg = SwarmConfig(particles=5, iterations=3, seed=31)
+        trace = tmp_path / "trace.jsonl"
+        search(coarse, bounds, quadratic_well((6, 14)), cfg, trace_path=str(trace))
+        lines = trace.read_text().splitlines(keepends=True)
+        other = search((4, 16), bounds, quadratic_well((6, 14)), cfg).trace[6]
+        assert other["structure"] != json.loads(lines[6])["structure"]
+        flipped = {**json.loads(lines[6]), "is_pbest": not json.loads(lines[6])["is_pbest"]}
+        bad = {"repeated line": lines[:7] + [lines[6]] + lines[7:],
+               "swapped lines": lines[:6] + [lines[7], lines[6]] + lines[8:],
+               "line of another search": lines[:6] + [json.dumps(other) + "\n"] + lines[7:],
+               "flag changed": lines[:6] + [json.dumps(flipped) + "\n"] + lines[7:],
+               "extra line": lines + [lines[-1]]}[case]
+        trace.write_text("".join(bad))
+        evaluator = quadratic_well((6, 14))
+        with pytest.raises(PruneKitError, match=rf"resumed {re.escape(str(trace))} line {bad_line} "):
+            search(coarse, bounds, evaluator, cfg, trace_path=str(trace), resume=True)
+        assert evaluator.calls == []
+        assert trace.read_text() == "".join(bad)
 
     def test_failure_names_iteration_and_particle(self):
         class Sabotaged:
