@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, StructureError
+from .errors import StructureError
 
 METRIC_ABS_COSINE = "abs-cosine"
 
@@ -43,16 +43,6 @@ class SimilarityMatrix:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise StructureError(f"similarity matrix must be square, got {e.shape}")
-
-
-def mean_maps(captured: np.ndarray, layer_index: int = 0) -> ChannelMeanMaps:
-    """Average a (S, c, H, W) activation tensor over its sample axis."""
-    arr = np.asarray(captured, dtype=np.float64)
-    if arr.ndim != 4:
-        raise StructureError(f"captured tensor must be 4-d, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise BoundsError("need at least one sample")
-    return ChannelMeanMaps(layer_index, arr.mean(axis=0))
 
 
 def similarity(maps: ChannelMeanMaps) -> SimilarityMatrix:

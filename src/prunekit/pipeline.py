@@ -365,17 +365,10 @@ class ExperimentRun:
                 self.test_set.images, self.test_set.labels,
                 self.config.trainer.train_config(
                     swarm_cfg.proxy_epochs, derive_seed(self.config.seed, "proxy")))
-            trace_path = self.path("swarm_trace.jsonl")
-            if resume:
-                # fitness is a pure function of the structure and the run's
-                # seed, so a structure the replayed trace scored and the search
-                # meets again later needs no training again
-                evaluator.cache.update((tuple(r["structure"]), r["fitness"])
-                                       for r in swarm.read_trace(trace_path))
             result = swarm.search(
                 coarse_structure, self.template.original_structure(), evaluator,
                 swarm_cfg, state_path=self.path("swarm_state.json"),
-                trace_path=trace_path, resume=resume)
+                trace_path=self.path("swarm_trace.jsonl"), resume=resume)
             return {
                 "best": list(result.best),
                 "best_fitness": result.best_fitness,

@@ -94,15 +94,14 @@ def evaluated_structure(position: np.ndarray, bounds) -> archspec.NetworkStructu
     return archspec.NetworkStructure(tuple(int(v) for v in clamped))
 
 
-def init_population(coarse, bounds, evaluator, config: SwarmConfig,
-                    rng=None, trace=None) -> SwarmState:
-    """Population seeded around the coarse structure.
+def init_population(coarse, bounds, config: SwarmConfig, rng=None) -> SwarmState:
+    """Unscored population seeded around the coarse structure.
 
     Particle i (1-indexed) starts at clamp(coarse + i * delta, 1, bounds)
     with delta drawn per layer from {-1, 0, 1}. RNG draw order: one delta
     vector per particle in particle order, then one uniform velocity vector
-    per particle in particle order. The particles are then scored as
-    iteration 0.
+    per particle in particle order. ``_score`` at iteration 0 gives each
+    particle its pbest and the swarm its gbest.
     """
     coarse = np.asarray(tuple(coarse), dtype=np.int64)
     bounds_arr = np.asarray(tuple(bounds), dtype=np.int64)
@@ -122,11 +121,7 @@ def init_population(coarse, bounds, evaluator, config: SwarmConfig,
     for pos in positions:
         vel = rng.uniform(-config.v_max, config.v_max, size=L)
         particles.append(Particle(pos, vel, (), -np.inf))
-    state = SwarmState(particles, (), -np.inf, 0, rng)
-    records = _score(state, 0, bounds_arr, evaluator, config)
-    if trace is not None:
-        trace.extend(records)
-    return state
+    return SwarmState(particles, (), -np.inf, 0, rng)
 
 
 def update_velocity(particle: Particle, gbest, t: int, config: SwarmConfig, rng):
@@ -236,7 +231,7 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
 
     ``trace_path`` collects one JSON line per fitness evaluation. With
     ``state_path`` the complete swarm state (including the RNG) is written
-    after initialization and after every iteration, for inspection only.
+    after every iteration, 0 included, for inspection only.
     The seed fixes every random draw, so the trace is a redo log:
     ``resume=True`` reruns the search from iteration 0 on the whole lines of
     the old trace (see ``_TraceLog``), so a resumed run reproduces the
@@ -247,13 +242,11 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
     """
     bounds_arr = np.asarray(tuple(bounds), dtype=np.int64)
     log = _TraceLog(trace_path, resume, evaluator, config.particles)
-    state = init_population(coarse, bounds_arr, log, config, trace=log)
-    while True:
+    state = init_population(coarse, bounds_arr, config)
+    for t in range(config.iterations + 1):
+        log.extend(_score(state, t, bounds_arr, log, config))
         if state_path is not None:
             write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
-        if state.iteration == config.iterations:
-            break
-        log.extend(_score(state, state.iteration + 1, bounds_arr, log, config))
     if log.answered < len(log.lines):
         raise log.error(log.answered,
                         f"is past the end of this search's {log.answered} evaluations")
@@ -274,25 +267,20 @@ def _history(trace) -> list:
 
 
 def _whole_lines(trace_path) -> list:
-    """(record, bytes) of each line of the trace, up to the first line torn
-    by a crash mid-append."""
+    """(record, bytes) of each line of the trace that ends in a newline; a
+    line that is not JSON has the record None. Only the last line can lack
+    the newline, torn by a crash mid-append, and it is left out."""
     if trace_path is None or not os.path.exists(trace_path):
         return []
     lines = []
     with open(trace_path, "rb") as fh:
         for line in fh:
-            try:
-                if not line.endswith(b"\n"):
-                    break
-                lines.append((json.loads(line), line))
-            except ValueError:
-                break
+            if line.endswith(b"\n"):
+                try:
+                    lines.append((json.loads(line), line))
+                except ValueError:
+                    lines.append((None, line))
     return lines
-
-
-def read_trace(trace_path) -> list:
-    """Every whole record of a trace file (none when there is no file)."""
-    return [record for record, _ in _whole_lines(trace_path)]
 
 
 class _TraceLog:
@@ -300,9 +288,11 @@ class _TraceLog:
     resumed search's old trace. Its whole lines are kept and the file is cut
     after them. ``evaluate`` answers the k-th evaluation with the k-th old
     line's fitness once that line's iteration, particle and structure are
-    the search's there, and asks ``evaluator`` once the old lines are used
-    up. ``extend`` takes each pass's records: a replayed one must serialize
-    to its old line byte for byte, and the rest are appended to the file.
+    the search's there. Once the old lines are used up it answers a
+    structure they scored with that fitness, which is a pure function of
+    the structure, and asks ``evaluator`` for the rest. ``extend`` takes
+    each pass's records: a replayed one must serialize to its old line byte
+    for byte, and the rest are appended to the file.
     """
 
     def __init__(self, trace_path, resume, evaluator, particles):
@@ -313,6 +303,7 @@ class _TraceLog:
         self.evaluator = evaluator
         self.particles = particles
         self.answered = 0   # evaluations answered from old lines
+        self.replayed = {}  # structure -> fitness of the old lines used
         self.records = []
 
     def error(self, k, problem):
@@ -321,6 +312,9 @@ class _TraceLog:
     def evaluate(self, structure) -> float:
         k = self.answered
         if k == len(self.lines):
+            key = tuple(structure)
+            if key in self.replayed:
+                return self.replayed[key]
             return self.evaluator.evaluate(structure)
         old = self.lines[k][0]
         made = {"iteration": k // self.particles, "particle": k % self.particles,
@@ -330,6 +324,7 @@ class _TraceLog:
                 or {key: old.get(key) for key in made} != made:
             raise self.error(k, f"does not match this search's {json.dumps(made)}")
         self.answered += 1
+        self.replayed[tuple(structure)] = fitness
         return fitness
 
     def extend(self, records) -> None:

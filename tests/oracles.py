@@ -74,21 +74,6 @@ def partition_signature(labels):
     return frozenset(frozenset(v) for v in clusters.values()), frozenset(noise)
 
 
-def mean_over_samples(tensor):
-    """Per-element average over axis 0, written as explicit loops."""
-    t = np.asarray(tensor, dtype=float)
-    s, c, h, w = t.shape
-    out = np.zeros((c, h, w))
-    for ci in range(c):
-        for yi in range(h):
-            for xi in range(w):
-                total = 0.0
-                for si in range(s):
-                    total += t[si, ci, yi, xi]
-                out[ci, yi, xi] = total / s
-    return out
-
-
 def abs_cosine(a, b):
     """|cos| of two flat vectors via compensated sums."""
     a = [float(x) for x in np.asarray(a).reshape(-1)]

@@ -21,7 +21,7 @@ from prunekit.archspec import (
     assemble,
 )
 from prunekit.cluster import NeighborhoodParams, dbscan
-from prunekit.featstats import ChannelMeanMaps, mean_maps, similarity
+from prunekit.featstats import ChannelMeanMaps, similarity
 from prunekit.nncore import Network
 from prunekit.nncore.gradcheck import gradient_check
 from prunekit.report import TABLE_COLUMNS, render_table
@@ -136,7 +136,7 @@ def test_criterion_3_similarity_matrix_properties():
         h = int(rng.integers(2, 7))
         w = int(rng.integers(2, 7))
         tensor = rng.normal(size=(s, c, h, w))
-        maps = mean_maps(tensor)
+        maps = ChannelMeanMaps(0, tensor.mean(axis=0))
         sim = similarity(maps).entries
         assert np.array_equal(sim, sim.T)
         assert sim.min() >= 0.0 and sim.max() <= 1.0

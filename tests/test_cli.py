@@ -138,6 +138,29 @@ def test_doubled_trace_line_on_resume_exits_2(tmp_path, capsys):
     assert not os.path.exists(os.path.join(run_dir, "search.json"))
 
 
+@pytest.mark.parametrize("damage,bad_line", [
+    (lambda lines: ["[1, 2]\n"] + lines, 1),
+    (lambda lines: lines[:1] + ["garbage\n"] + lines[2:], 2)], ids=["not a record", "not JSON"])
+def test_damaged_trace_line_on_resume_exits_2(tmp_path, capsys, damage, bad_line):
+    """A whole trace line that is not a record is named, not taken for a
+    torn tail, and the trace is left as it was."""
+    damaged = []
+
+    def write_damage(run_dir):
+        with open(os.path.join(run_dir, "swarm_trace.jsonl"), "r+") as fh:
+            damaged.append("".join(damage(fh.readlines())))
+            fh.seek(0)
+            fh.write(damaged[0])
+            fh.truncate()
+    run_dir, _, code = search_then_resume(tmp_path, capsys, write_damage)
+    assert code == 2
+    trace = os.path.join(run_dir, "swarm_trace.jsonl")
+    assert capsys.readouterr().err.startswith(
+        f"error: search stage: resumed {trace} line {bad_line} does not match this search's ")
+    with open(trace) as fh:
+        assert fh.read() == damaged[0]
+
+
 def test_run_directory_held_by_another_run_exits_2(tmp_path, capsys):
     out = str(tmp_path / "runs")
     path = write_config(tmp_path, SMALL_RUN)

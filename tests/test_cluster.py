@@ -17,7 +17,7 @@ from prunekit.cluster import (
     dbscan,
 )
 from prunekit.errors import BoundsError, StructureError
-from prunekit.featstats import distance_matrix, mean_maps, similarity
+from prunekit.featstats import ChannelMeanMaps, distance_matrix, similarity
 from prunekit.nncore import Network
 from prunekit.util import derive_seed
 
@@ -201,7 +201,7 @@ class TestCoarsePrune:
             c = mean.shape[0]
             if c < 2:
                 continue
-            sim = similarity(mean_maps(mean[None, ...], layer_index=report.slot))
+            sim = similarity(ChannelMeanMaps(report.slot, mean))
             out = dbscan(distance_matrix(sim), params)
             want = coarse_channel_count(out)
             assert structure.channels[pos] == want

@@ -3,45 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import abs_cosine, mean_over_samples, similarity_loop
+from oracles import abs_cosine, similarity_loop
 
-from prunekit.errors import BoundsError, StructureError
 from prunekit.featstats import (
     ChannelMeanMaps,
     distance_matrix,
     dump_similarity_csv,
-    mean_maps,
     similarity,
 )
 
 
-def random_tensor(seed, s=3, c=5, h=4, w=4):
-    return np.random.default_rng(seed).normal(size=(s, c, h, w))
-
-
-class TestMeanMaps:
-    def test_single_sample_is_identity(self):
-        x = random_tensor(0, s=1)
-        out = mean_maps(x, layer_index=2)
-        assert out.layer_index == 2
-        np.testing.assert_array_equal(out.maps, x[0])
-
-    def test_zero_and_two_average_to_one(self):
-        x = np.stack([np.zeros((2, 3, 3)), np.full((2, 3, 3), 2.0)])
-        np.testing.assert_array_equal(mean_maps(x).maps, np.ones((2, 3, 3)))
-
-    def test_matches_elementwise_oracle(self):
-        x = random_tensor(7)
-        np.testing.assert_allclose(mean_maps(x).maps, mean_over_samples(x),
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_empty_sample_axis_rejected(self):
-        with pytest.raises(BoundsError):
-            mean_maps(np.zeros((0, 2, 3, 3)))
-
-    def test_non_4d_rejected(self):
-        with pytest.raises(StructureError):
-            mean_maps(np.zeros((2, 3, 3)))
+def random_maps(seed, c=5):
+    """Mean maps of a random (3, c, 4, 4) activation tensor."""
+    tensor = np.random.default_rng(seed).normal(size=(3, c, 4, 4))
+    return ChannelMeanMaps(0, tensor.mean(axis=0))
 
 
 class TestSimilarity:
@@ -83,7 +58,7 @@ class TestSimilarity:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_matrix_properties_on_random_tensors(self, seed):
-        maps = mean_maps(random_tensor(seed))
+        maps = random_maps(seed)
         sim = similarity(maps).entries
         assert np.array_equal(sim, sim.T)  # exact mirror, not approximate
         assert sim.min() >= 0.0 and sim.max() <= 1.0
@@ -94,7 +69,7 @@ class TestSimilarity:
            st.floats(0.1, 50.0),
            st.integers(0, 4))
     def test_scale_invariance_positive_and_negative(self, seed, scale, channel):
-        base = mean_maps(random_tensor(seed)).maps
+        base = random_maps(seed).maps
         for factor in (scale, -scale):
             scaled = base.copy()
             scaled[channel] *= factor
@@ -103,7 +78,7 @@ class TestSimilarity:
             np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_entries_match_pairwise_oracle(self):
-        maps = mean_maps(random_tensor(3, c=4))
+        maps = random_maps(3, c=4)
         sim = similarity(maps).entries
         flat = maps.maps.reshape(4, -1)
         for i in range(4):
@@ -125,7 +100,7 @@ class TestSimilarity:
 
 class TestDistanceMatrix:
     def test_complement_with_zero_diagonal(self):
-        maps = mean_maps(random_tensor(1))
+        maps = random_maps(1)
         sim = similarity(maps)
         d = distance_matrix(sim)
         assert np.array_equal(np.diagonal(d), np.zeros(d.shape[0]))
@@ -135,7 +110,7 @@ class TestDistanceMatrix:
 
 class TestCsvDump:
     def test_round_trips_values(self, tmp_path):
-        maps = mean_maps(random_tensor(5, c=3))
+        maps = random_maps(5, c=3)
         sim = similarity(maps)
         path = tmp_path / "sim.csv"
         dump_similarity_csv(path, sim)

@@ -344,8 +344,8 @@ class TestResumedSearch:
         self.assert_same_search(config, crashed)
 
     def test_resume_trains_only_structures_the_old_trace_lacks(self, tmp_path, monkeypatch):
-        """The old trace's fitnesses fill the cache, iteration 2's lines
-        included, though the search resumes from iteration 1's state."""
+        """The resumed search replays the old trace from iteration 0, and a
+        structure an old line scored is not trained again."""
         config, crashed = self.run_crashed_at_iteration_2(tmp_path, monkeypatch)
         scored = trace_structures(crashed)
         trained = []

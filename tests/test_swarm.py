@@ -114,7 +114,8 @@ class TestInitPopulation:
         rng = StubRng(integer_draws=[[0, 0, 0]], uniform_draws=[[0.0, 0.0, 0.0]])
         evaluator = quadratic_well((5, 5, 5))
         cfg = SwarmConfig(particles=1, iterations=1, seed=0)
-        state = init_population((4, 6, 2), (8, 8, 8), evaluator, cfg, rng=rng)
+        state = init_population((4, 6, 2), (8, 8, 8), cfg, rng=rng)
+        swarm_module._score(state, 0, (8, 8, 8), evaluator, cfg)
         np.testing.assert_array_equal(state.particles[0].position, [4.0, 6.0, 2.0])
         assert state.gbest == (4, 6, 2)
 
@@ -122,29 +123,27 @@ class TestInitPopulation:
         # all deltas -1: particle i lands at max(coarse - i, 1)
         rng = StubRng(integer_draws=[[-1]] * 3,
                       uniform_draws=[[0.0]] * 3)
-        evaluator = quadratic_well((2,))
         cfg = SwarmConfig(particles=3, iterations=1, seed=0)
-        state = init_population((2,), (9,), evaluator, cfg, rng=rng)
+        state = init_population((2,), (9,), cfg, rng=rng)
         got = [float(p.position[0]) for p in state.particles]
         assert got == [1.0, 1.0, 1.0]
 
     def test_upper_clamp_at_original_width(self):
         rng = StubRng(integer_draws=[[1]] * 4, uniform_draws=[[0.0]] * 4)
-        evaluator = quadratic_well((3,))
         cfg = SwarmConfig(particles=4, iterations=1, seed=0)
-        state = init_population((3,), (5,), evaluator, cfg, rng=rng)
+        state = init_population((3,), (5,), cfg, rng=rng)
         got = [float(p.position[0]) for p in state.particles]
         assert got == [4.0, 5.0, 5.0, 5.0]
 
     def test_coarse_wider_than_bounds_rejected(self):
-        evaluator = quadratic_well((2, 2))
         with pytest.raises(BoundsError):
-            init_population((6, 2), (5, 5), evaluator, SwarmConfig(seed=0))
+            init_population((6, 2), (5, 5), SwarmConfig(seed=0))
 
     def test_every_particle_gets_a_pbest(self):
         evaluator = quadratic_well((4, 4))
         cfg = SwarmConfig(particles=5, iterations=2, seed=3)
-        state = init_population((4, 4), (8, 8), evaluator, cfg)
+        state = init_population((4, 4), (8, 8), cfg)
+        swarm_module._score(state, 0, (8, 8), evaluator, cfg)
         for p in state.particles:
             assert p.pbest_fitness == evaluator.fn(p.pbest)
         best = max(p.pbest_fitness for p in state.particles)
@@ -153,8 +152,8 @@ class TestInitPopulation:
     def test_first_index_wins_fitness_ties(self):
         evaluator = FnEvaluator(lambda s: 1.0)  # constant landscape
         cfg = SwarmConfig(particles=4, iterations=1, seed=7)
-        trace = []
-        state = init_population((3, 3), (6, 6), evaluator, cfg, trace=trace)
+        state = init_population((3, 3), (6, 6), cfg)
+        trace = swarm_module._score(state, 0, (6, 6), evaluator, cfg)
         assert state.gbest == state.particles[0].pbest
         gbest_marks = [r["particle"] for r in trace if r["is_gbest"]]
         assert gbest_marks == [0]
@@ -473,9 +472,26 @@ class TestSearch:
             tmp_path, monkeypatch, "_append_trace", torn)
         assert resumed == full
 
+    def test_resume_asks_only_for_structures_the_old_lines_lack(self, tmp_path):
+        """After the old lines, a structure one of them scored is answered
+        from the replay and not evaluated again."""
+        coarse, bounds = (10, 10), (20, 20)
+        cfg = SwarmConfig(particles=5, iterations=8, seed=17)
+        trace = tmp_path / "trace.jsonl"
+        full = search(coarse, bounds, quadratic_well((6, 14)), cfg, trace_path=str(trace))
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines[:12]))
+        old = {tuple(r["structure"]) for r in full.trace[:12]}
+        tail = [tuple(r["structure"]) for r in full.trace[12:]]
+        assert old & set(tail)
+        evaluator = quadratic_well((6, 14))
+        search(coarse, bounds, evaluator, cfg, trace_path=str(trace), resume=True)
+        assert evaluator.calls == [s for s in tail if s not in old]
+        assert trace.read_text() == "".join(lines)
+
     @pytest.mark.parametrize("case,bad_line", [
         ("repeated line", 8), ("swapped lines", 7), ("line of another search", 7),
-        ("flag changed", 7), ("extra line", 21)])
+        ("flag changed", 7), ("extra line", 21), ("not JSON", 2), ("not a record", 1)])
     def test_trace_that_does_not_match_is_an_error(self, tmp_path, case, bad_line):
         """A resumed trace must be this search's own: the search stops at the
         first line that is not the record it makes there, naming the file and
@@ -492,7 +508,9 @@ class TestSearch:
                "swapped lines": lines[:6] + [lines[7], lines[6]] + lines[8:],
                "line of another search": lines[:6] + [json.dumps(other) + "\n"] + lines[7:],
                "flag changed": lines[:6] + [json.dumps(flipped) + "\n"] + lines[7:],
-               "extra line": lines + [lines[-1]]}[case]
+               "extra line": lines + [lines[-1]],
+               "not JSON": lines[:1] + ["garbage\n"] + lines[2:],
+               "not a record": ["[1, 2]\n"] + lines[1:]}[case]
         trace.write_text("".join(bad))
         evaluator = quadratic_well((6, 14))
         with pytest.raises(PruneKitError, match=rf"resumed {re.escape(str(trace))} line {bad_line} "):
