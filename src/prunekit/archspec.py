@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral
 from pathlib import Path
 
 import yaml
@@ -111,6 +112,19 @@ class ArchTemplate:
 
     def slot_bounds(self) -> tuple[int, ...]:
         return self.original_structure().channels
+
+    def check_widths(self, widths, where: str = "structure") -> None:
+        """Raise unless ``widths`` holds one integer (not a bool) per prunable
+        slot, each within [1, original]; the error starts with ``where``."""
+        bounds = self.slot_bounds()
+        if len(widths) != len(bounds):
+            raise StructureError(
+                f"{where} holds {len(widths)} widths, expected {len(bounds)} "
+                f"(one per prunable slot of {self.name})")
+        for slot, (width, bound) in enumerate(zip(widths, bounds)):
+            if isinstance(width, bool) or not isinstance(width, Integral) \
+                    or not 1 <= width <= bound:
+                raise BoundsError(f"{where}: width {width} of slot {slot} is outside [1, {bound}]")
 
     def to_config_dict(self) -> dict:
         layers = []
@@ -233,28 +247,16 @@ def instantiate(template: ArchTemplate, structure) -> ArchTemplate:
     """Concrete template with conv widths replaced by ``structure``.
 
     In-channel counts of downstream layers and all spatial sizes are
-    recomputed. Raises BoundsError naming the slot for out-of-range entries.
+    recomputed. Raises (see ``ArchTemplate.check_widths``) unless every
+    width is an integer within its slot's bounds.
     """
-    if not isinstance(structure, NetworkStructure):
-        structure = NetworkStructure(tuple(structure))
-    slots = template.prunable_slots
-    if len(structure) != len(slots):
-        raise StructureError(
-            f"structure has {len(structure)} entries, template has {len(slots)} prunable slots"
-        )
-    bounds = template.slot_bounds()
-    for slot_idx, (value, bound) in enumerate(zip(structure, bounds)):
-        if not 1 <= value <= bound:
-            raise BoundsError(
-                f"slot {slot_idx} (layer {slots[slot_idx]}): "
-                f"channel count {value} outside [1, {bound}]"
-            )
+    widths = tuple(structure)
+    template.check_widths(widths)
     new_defs = list(template.defs)
-    for slot_idx, layer_idx in enumerate(slots):
-        new_defs[layer_idx] = replace(new_defs[layer_idx], out_channels=structure[slot_idx])
-    return assemble(
-        template.name, template.input_shape, template.num_classes, new_defs, slots
-    )
+    for layer_idx, width in zip(template.prunable_slots, widths):
+        new_defs[layer_idx] = replace(new_defs[layer_idx], out_channels=int(width))
+    return assemble(template.name, template.input_shape, template.num_classes, new_defs,
+                    template.prunable_slots)
 
 
 def _resolved(template: ArchTemplate, structure) -> ArchTemplate:

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import StructureError
 
-METRIC_ABS_COSINE = "abs-cosine"
-
 
 @dataclass(frozen=True)
 class ChannelMeanMaps:
@@ -37,7 +35,6 @@ class ChannelMeanMaps:
 @dataclass(frozen=True)
 class SimilarityMatrix:
     entries: np.ndarray
-    metric: str = METRIC_ABS_COSINE
 
     def __post_init__(self):
         e = self.entries

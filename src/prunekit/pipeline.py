@@ -249,23 +249,25 @@ class ExperimentRun:
             **fields)
 
     def _stage(self, stage, artifact, compute, reuse, checkpoint=None, net=None,
-               widths=None, keys=()) -> dict:
+               widths=None, keys=()):
         """Run one stage: reuse its checked artifact, or compute it and write it.
 
         With ``reuse`` set, an existing ``artifact`` (plus its ``checkpoint``,
         for a stage that writes one) is read back, ``net`` gets the
         checkpoint's weights, the width vector under the key ``widths`` must
-        hold one width per prunable slot, each within [1, original], and
-        every key in ``keys`` must be present. Otherwise the dict
-        ``compute()`` returns is written atomically. The stage is timed, and
-        a failure is recorded in report.json before it propagates.
+        pass ``ArchTemplate.check_widths``, and every key in ``keys`` must be
+        present. Otherwise the dict ``compute()`` returns is written
+        atomically. The stage is timed. A PruneKitError that ends the stage
+        gets its message prefixed with "<stage> stage: ", and any failure is
+        recorded in report.json before it propagates. Returns the artifact,
+        preceded by its width vector as a NetworkStructure if ``widths`` is set.
         """
         start = time.perf_counter()
         try:
             path = self.path(artifact)
             ckpt = self.path(checkpoint) if checkpoint else None
             if reuse and os.path.exists(path) and (ckpt is None or os.path.exists(ckpt)):
-                where = f"{stage} stage: reused {path}"
+                where = f"reused {path}"
                 try:
                     with open(path) as fh:
                         saved = json.load(fh)
@@ -275,15 +277,7 @@ class ExperimentRun:
                     vector = saved.get(widths) if isinstance(saved, dict) else None
                     if not isinstance(vector, list):
                         raise PruneKitError(f"{where} has no {widths!r} list of widths")
-                    bounds = self.template.slot_bounds()
-                    if len(vector) != len(bounds):
-                        raise PruneKitError(
-                            f"{where} holds {len(vector)} widths, expected {len(bounds)} "
-                            f"(one per prunable slot of {self.template.name})")
-                    for slot, (width, bound) in enumerate(zip(vector, bounds)):
-                        if type(width) is not int or not 1 <= width <= bound:
-                            raise PruneKitError(
-                                f"{where}: width {width} of slot {slot} is outside [1, {bound}]")
+                    self.template.check_widths(vector, where)
                 for key in keys:
                     if not isinstance(saved, dict) or key not in saved:
                         raise PruneKitError(f"{where} has no {key!r} field")
@@ -293,11 +287,13 @@ class ExperimentRun:
                 saved = compute()
                 write_text_atomic(path, json.dumps(saved, indent=2) + "\n")
         except Exception as exc:
+            if isinstance(exc, PruneKitError):
+                exc.args = (f"{stage} stage: {exc}",)
             self._report(coarse_structure=[], final_structure=[], failed_stage=stage,
                          error=f"{type(exc).__name__}: {exc}").save(self.path("report.json"))
             raise
         self.stage_seconds[stage] = time.perf_counter() - start
-        return saved
+        return saved if widths is None else (archspec.NetworkStructure(saved[widths]), saved)
 
     def _fit(self, net, tag, epochs, trace, checkpoint) -> dict:
         """Train ``net`` with stage ``tag``'s seed, writing the CSV ``trace``
@@ -350,8 +346,7 @@ class ExperimentRun:
                 "sample_count": self.config.sample_count,
                 "layers": [r.to_dict() for r in reports],
             }
-        saved = self._stage("coarse", "coarse.json", compute, resume, widths="structure")
-        return archspec.NetworkStructure(saved["structure"]), saved
+        return self._stage("coarse", "coarse.json", compute, resume, widths="structure")
 
     # -- stage 3 ------------------------------------------------------------
     def stage_search(self, coarse_structure, resume=False):
@@ -373,11 +368,9 @@ class ExperimentRun:
                 "best": list(result.best),
                 "best_fitness": result.best_fitness,
                 "history": [list(h) for h in result.history],
-                # each distinct structure is trained once
-                "evaluations": len({tuple(r["structure"]) for r in result.trace}),
+                "evaluations": result.evaluations,
             }
-        saved = self._stage("search", "search.json", compute, resume, widths="best")
-        return archspec.NetworkStructure(saved["best"]), saved
+        return self._stage("search", "search.json", compute, resume, widths="best")
 
     # -- stage 4 ------------------------------------------------------------
     def stage_retrain(self, final_structure, resume=False):
@@ -395,14 +388,13 @@ class ExperimentRun:
                            keys=("accuracy", "params", "flops", "retrain_epochs"))
 
     # -- stage 5 ------------------------------------------------------------
-    def stage_report(self, baseline_meta, coarse_saved, retrain_saved):
+    def stage_report(self, baseline_meta, coarse_structure, final_structure, retrain_saved):
         def compute():
             param_drop, flop_drop = archspec.compression_report(
-                self.template, self.template.original_structure(),
-                archspec.NetworkStructure(retrain_saved["structure"]))
+                self.template, self.template.original_structure(), final_structure)
             report = self._report(
-                coarse_structure=list(coarse_saved["structure"]),
-                final_structure=list(retrain_saved["structure"]),
+                coarse_structure=list(coarse_structure),
+                final_structure=list(final_structure),
                 baseline={k: baseline_meta[k] for k in ("accuracy", "params", "flops", "epochs")},
                 final={**{k: retrain_saved[k] for k in ("accuracy", "params", "flops")},
                        "param_drop_percent": param_drop, "flop_drop_percent": flop_drop},
@@ -423,6 +415,8 @@ def run(config: ExperimentConfig, resume: bool = False,
     Returns the RunReport when the report stage runs, else the last stage's
     artifact dictionary. The stages run under an exclusive lock on the run
     directory; a run of a directory another run holds is an error naming it.
+    Holding the lock, the run first deletes the ``*.tmp`` files a killed
+    atomic write left in the directory, since no other writer can own them.
     """
     if through not in STAGES:
         raise BoundsError(f"unknown stage {through!r}; expected one of {STAGES}")
@@ -435,6 +429,9 @@ def run(config: ExperimentConfig, resume: bool = False,
         except BlockingIOError:
             raise PruneKitError(
                 f"run directory {runner.run_dir} is in use by another run") from None
+        for name in os.listdir(runner.run_dir):
+            if name.endswith(".tmp") and os.path.isfile(runner.path(name)):
+                os.unlink(runner.path(name))
         net, baseline_meta = runner.stage_baseline()
         if last == 0:
             return baseline_meta
@@ -444,9 +441,10 @@ def run(config: ExperimentConfig, resume: bool = False,
         best, search_saved = runner.stage_search(coarse_structure, resume=resume)
         if last == 2:
             return search_saved
-        retrain_saved = runner.stage_retrain(best, resume=resume)
+        final_structure, retrain_saved = runner.stage_retrain(best, resume=resume)
         if last == 3:
             return retrain_saved
-        return runner.stage_report(baseline_meta, coarse_saved, retrain_saved)
+        return runner.stage_report(baseline_meta, coarse_structure, final_structure,
+                                   retrain_saved)
     finally:
         os.close(lock)

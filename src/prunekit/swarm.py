@@ -147,19 +147,6 @@ def update_position(particle: Particle, config: SwarmConfig):
     return particle.position
 
 
-def _evaluate(evaluator, structure, iteration, particle_idx):
-    where = f"at iteration {iteration}, particle {particle_idx}"
-    try:
-        fitness = float(evaluator.evaluate(structure))
-    except PruneKitError:
-        raise
-    except Exception as exc:
-        raise PruneKitError(f"fitness evaluation failed {where}: {exc}") from exc
-    if not np.isfinite(fitness):
-        raise PruneKitError(f"fitness {fitness} {where} is not finite")
-    return fitness
-
-
 def _score(state: SwarmState, t: int, bounds, evaluator, config: SwarmConfig) -> list:
     """One pass over the swarm at iteration ``t``: move each particle (from
     t = 1 on), evaluate it, update its pbest and the gbest, and return the
@@ -174,7 +161,7 @@ def _score(state: SwarmState, t: int, bounds, evaluator, config: SwarmConfig) ->
             update_velocity(p, state.gbest if immediate else gbest_before, t, config, state.rng)
             update_position(p, config)
         structure = evaluated_structure(p.position, bounds)
-        fitness = _evaluate(evaluator, structure, t, idx)
+        fitness = evaluator.evaluate(structure)
         improved = fitness > p.pbest_fitness
         if improved:
             p.pbest = tuple(structure)
@@ -224,6 +211,11 @@ class SearchResult:
     history: list = field(default_factory=list)  # (iteration, best fitness so far, mean fitness)
     trace: list = field(default_factory=list)    # per-evaluation records
 
+    @property
+    def evaluations(self) -> int:
+        """Distinct structures evaluated; each is trained once."""
+        return len({tuple(rec["structure"]) for rec in self.trace})
+
 
 def search(coarse, bounds, evaluator, config: SwarmConfig,
            state_path=None, trace_path=None, resume=False) -> SearchResult:
@@ -247,9 +239,8 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
         log.extend(_score(state, t, bounds_arr, log, config))
         if state_path is not None:
             write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
-    if log.answered < len(log.lines):
-        raise log.error(log.answered,
-                        f"is past the end of this search's {log.answered} evaluations")
+    if log.count < len(log.lines):
+        raise log.error(log.count, f"is past the end of this search's {log.count} evaluations")
     return SearchResult(archspec.NetworkStructure(state.gbest),
                         state.gbest_fitness, _history(log.records), log.records)
 
@@ -284,15 +275,18 @@ def _whole_lines(trace_path) -> list:
 
 
 class _TraceLog:
-    """One search's trace file and records, and the evaluator that replays a
-    resumed search's old trace. Its whole lines are kept and the file is cut
-    after them. ``evaluate`` answers the k-th evaluation with the k-th old
-    line's fitness once that line's iteration, particle and structure are
-    the search's there. Once the old lines are used up it answers a
-    structure they scored with that fitness, which is a pure function of
-    the structure, and asks ``evaluator`` for the rest. ``extend`` takes
-    each pass's records: a replayed one must serialize to its old line byte
-    for byte, and the rest are appended to the file.
+    """One search's trace file and records, and the only wrapper around its
+    evaluator; the k-th evaluation is particle k % particles of iteration
+    k // particles. A resumed search's whole old lines are kept and the file
+    is cut after them. ``evaluate`` answers the k-th evaluation with the
+    k-th old line's fitness once that line's iteration, particle and
+    structure are the search's there. Once the old lines are used up it
+    answers a structure they scored with that fitness, which is a pure
+    function of the structure, and asks ``evaluator`` for the rest: its
+    exceptions and a fitness that is not finite are errors naming the
+    iteration, the particle and the structure. ``extend`` takes each pass's
+    records: a replayed one must serialize to its old line byte for byte,
+    and the rest are appended to the file.
     """
 
     def __init__(self, trace_path, resume, evaluator, particles):
@@ -302,29 +296,36 @@ class _TraceLog:
             os.truncate(trace_path, sum(len(line) for _, line in self.lines))
         self.evaluator = evaluator
         self.particles = particles
-        self.answered = 0   # evaluations answered from old lines
+        self.count = 0      # evaluations asked for so far
         self.replayed = {}  # structure -> fitness of the old lines used
         self.records = []
 
     def error(self, k, problem):
-        return PruneKitError(f"search stage: resumed {self.path} line {k + 1} {problem}")
+        return PruneKitError(f"resumed {self.path} line {k + 1} {problem}")
 
     def evaluate(self, structure) -> float:
-        k = self.answered
-        if k == len(self.lines):
-            key = tuple(structure)
-            if key in self.replayed:
-                return self.replayed[key]
-            return self.evaluator.evaluate(structure)
-        old = self.lines[k][0]
+        k, key = self.count, tuple(structure)
+        self.count += 1
         made = {"iteration": k // self.particles, "particle": k % self.particles,
                 "structure": list(structure)}
-        fitness = old.get("fitness") if isinstance(old, dict) else None
-        if not isinstance(fitness, float) or not np.isfinite(fitness) \
-                or {key: old.get(key) for key in made} != made:
-            raise self.error(k, f"does not match this search's {json.dumps(made)}")
-        self.answered += 1
-        self.replayed[tuple(structure)] = fitness
+        if k < len(self.lines):
+            old = self.lines[k][0]
+            fitness = old.get("fitness") if isinstance(old, dict) else None
+            if not isinstance(fitness, float) or not np.isfinite(fitness) \
+                    or {name: old.get(name) for name in made} != made:
+                raise self.error(k, f"does not match this search's {json.dumps(made)}")
+            self.replayed[key] = fitness
+            return fitness
+        if key in self.replayed:
+            return self.replayed[key]
+        where = "at iteration {iteration}, particle {particle}".format(**made)
+        candidate = f"(structure {made['structure']})"
+        try:
+            fitness = float(self.evaluator.evaluate(structure))
+        except Exception as exc:
+            raise PruneKitError(f"fitness evaluation failed {where} {candidate}: {exc}") from exc
+        if not np.isfinite(fitness):
+            raise PruneKitError(f"fitness {fitness} {where} is not finite {candidate}")
         return fitness
 
     def extend(self, records) -> None:

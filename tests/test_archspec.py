@@ -108,6 +108,12 @@ class TestInstantiate:
         with pytest.raises(StructureError):
             instantiate(t, (8,))
 
+    @pytest.mark.parametrize("structure,slot", [((8.5, 20), 0), ((8, True), 1)])
+    def test_non_integer_width_names_slot(self, structure, slot):
+        t = two_conv_template()
+        with pytest.raises(BoundsError, match=rf"width {structure[slot]} of slot {slot} "):
+            instantiate(t, structure)
+
 
 class TestParamCount:
     def test_single_conv_with_bias(self):

@@ -86,6 +86,18 @@ def test_torn_coarse_json_on_resume_exits_2(tmp_path, capsys):
     assert coarse in err
 
 
+def test_diverging_baseline_names_the_stage(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    config = write_config(tmp_path, SMALL_RUN + "  initial_lr: 1.0e+30\n")
+    assert cli.main(["train-baseline", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: baseline stage: non-finite loss")
+    (run_dir,) = os.listdir(out)
+    with open(os.path.join(out, run_dir, "report.json")) as fh:
+        report = json.load(fh)
+    assert report["failed_stage"] == "baseline"
+    assert report["error"].startswith("TrainingDiverged: baseline stage: non-finite loss")
+
+
 def test_both_spellings_of_a_setting_exit_2(tmp_path, capsys):
     config = write_config(tmp_path, SMALL_RUN + "epsilon: 0.3\nneighborhood:\n  epsilon: 0.1\n")
     assert cli.main(["coarse", "--config", config, "--out", str(tmp_path / "runs")]) == 2

@@ -303,6 +303,32 @@ class TestRerun:
             assert [line.split(",")[0] for line in lines[1:]] == \
                 [str(e) for e in range(epochs)], name
 
+class TestKilledWriteLitter:
+    def test_resume_deletes_tmp_files_and_keeps_the_rest(self, desk_run_pair, tmp_path):
+        """A write killed inside util._atomic_write leaves <name>.<random>.tmp
+        behind; the next run of the directory deletes it."""
+        finished = desk_run_pair["config_a"]
+        config = desk_experiment_config(tmp_path / "copy")
+        shutil.copytree(finished.run_dir(), config.run_dir())
+        run_dir = config.run_dir()
+        before = {}
+        for name in os.listdir(run_dir):
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                before[name] = fh.read()
+        litter = os.path.join(run_dir, "search.json.killed.tmp")
+        with open(litter, "w") as fh:
+            fh.write('{"best": [1')
+        report = pipeline.run(config, resume=True)
+        assert not os.path.exists(litter)
+        assert sorted(os.listdir(run_dir)) == sorted(before)
+        for name, data in before.items():
+            if name != "report.json":  # rewritten with this run's timings
+                with open(os.path.join(run_dir, name), "rb") as fh:
+                    assert fh.read() == data, name
+        assert report.comparable_dict() == \
+            RunReport.from_dict(json.loads(before["report.json"])).comparable_dict()
+
+
 def trace_structures(config):
     with open(os.path.join(config.run_dir(), "swarm_trace.jsonl")) as fh:
         return {tuple(json.loads(line)["structure"]) for line in fh}

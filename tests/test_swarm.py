@@ -6,7 +6,7 @@ import pytest
 
 from prunekit import swarm as swarm_module
 from prunekit.archspec import NetworkStructure, tiny4
-from prunekit.errors import BoundsError, PruneKitError
+from prunekit.errors import BoundsError, PruneKitError, TrainingDiverged
 from prunekit.nncore import TrainConfig
 from prunekit.swarm import (
     GBEST_IMMEDIATE,
@@ -520,18 +520,28 @@ class TestSearch:
 
     def test_failure_names_iteration_and_particle(self):
         class Sabotaged:
-            def __init__(self):
+            def __init__(self, error=ValueError("synthetic breakage")):
                 self.count = 0
+                self.error = error
+                self.structure = None
 
             def evaluate(self, structure):
                 self.count += 1
                 if self.count == 9:  # init takes 4 evals, dies mid iteration 2
-                    raise ValueError("synthetic breakage")
+                    self.structure = list(structure)
+                    raise self.error
                 return 0.0
 
         cfg = SwarmConfig(particles=4, iterations=5, seed=3)
         with pytest.raises(PruneKitError, match=r"iteration 2.*particle 0"):
             search((5, 5), (10, 10), Sabotaged(), cfg)
+        # a PruneKitError from the evaluator is named the same way
+        diverged = Sabotaged(TrainingDiverged(0, 2, float("nan")))
+        with pytest.raises(PruneKitError) as err:
+            search((5, 5), (10, 10), diverged, cfg)
+        assert str(err.value) == (
+            f"fitness evaluation failed at iteration 2, particle 0 "
+            f"(structure {diverged.structure}): non-finite loss nan at epoch 0, batch 2")
 
 
 @pytest.fixture(scope="module")
