@@ -7,13 +7,13 @@ as-is since nothing resembles them.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import archspec, featstats
 from .errors import BoundsError, StructureError
+from .nncore.layers import by_channel
 
 NOISE = -1
 
@@ -65,39 +65,35 @@ def _check_distances(distances: np.ndarray) -> np.ndarray:
 def dbscan(distances: np.ndarray, params: NeighborhoodParams) -> ClusterAssignment:
     """DBSCAN over a precomputed distance matrix.
 
-    A channel's epsilon-neighborhood includes itself. Seed points are visited
-    in ascending index order and cluster expansion is breadth-first, also in
-    ascending order, which fixes border-point ties deterministically: a
-    border channel joins the first cluster that reaches it. With ``min_pts``
-    above the channel count no neighborhood is dense, so every channel is
-    noise.
+    A channel's epsilon-neighborhood includes itself, and a core channel's
+    holds at least ``min_pts`` channels. Clusters are the connected
+    components of the core channels, numbered in the order of their lowest
+    index. A border channel joins the lowest-numbered cluster among its core
+    neighbors. With ``min_pts`` above the channel count no neighborhood is
+    dense, so every channel is noise.
     """
     d = _check_distances(distances)
     n = d.shape[0]
     within = d <= params.epsilon
-    neighbor_counts = within.sum(axis=1)
-    core = neighbor_counts >= params.min_pts
-    labels = np.full(n, NOISE, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    next_id = 0
-    for seed in range(n):
-        if visited[seed] or not core[seed]:
-            continue
-        cluster_id = next_id
-        next_id += 1
-        queue = deque([seed])
-        visited[seed] = True
-        labels[seed] = cluster_id
-        while queue:
-            p = queue.popleft()
-            if not core[p]:
-                continue
-            for q in np.flatnonzero(within[p]):
-                if labels[q] == NOISE:
-                    labels[q] = cluster_id
-                if not visited[q]:
-                    visited[q] = True
-                    queue.append(q)
+    core = within.sum(axis=1) >= params.min_pts
+    cores = np.flatnonzero(core)
+    links = within[np.ix_(cores, cores)]
+    # each core's component, as the lowest core position in it: take the
+    # lowest label among the neighbors, then the label's own label, until
+    # nothing changes
+    comp = np.arange(cores.size)
+    while True:
+        lowest = np.where(links, comp, cores.size).min(axis=1, initial=cores.size)
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, comp):
+            break
+        comp = lowest
+    # components numbered by their lowest core, which is their label; every
+    # channel takes the lowest cluster among its core neighbors (a core's
+    # are all in its own), and one with none is noise
+    _, cluster_of_core = np.unique(comp, return_inverse=True)
+    reached = np.where(within[:, cores], cluster_of_core, n).min(axis=1, initial=n)
+    labels = np.where(reached < n, reached, NOISE).astype(np.int64)
     return ClusterAssignment(labels, core)
 
 
@@ -116,6 +112,11 @@ class LayerClusterReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _sum_samples(maps, out):
+    """Each channel's (H, W) sum over the samples of channel-first maps."""
+    maps.swapaxes(0, 1).sum(axis=0, dtype=np.float64, out=out)
 
 
 def coarse_prune(template: archspec.ArchTemplate, net, sample_images: np.ndarray,
@@ -139,7 +140,8 @@ def coarse_prune(template: archspec.ArchTemplate, net, sample_images: np.ndarray
 
     def accumulate(slot, maps):
         # summed as the forward produces it, so no map outlives its layer
-        acc = maps.sum(axis=0, dtype=np.float64)
+        acc = np.empty(maps.shape[1:], dtype=np.float64)
+        by_channel(_sum_samples, (maps.swapaxes(0, 1), acc))
         if slot in sums:
             sums[slot] += acc
         else:

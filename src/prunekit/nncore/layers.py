@@ -9,6 +9,7 @@ C-contiguous (N, C, H, W) input gives the same values at the cost of a copy.
 """
 from __future__ import annotations
 
+import contextvars
 import os
 
 import numpy as np
@@ -20,8 +21,14 @@ import numpy as np
 # evaluation at batch 256, is 16x72x16384, about 2^24.2).
 _SPLIT_MACS = 1 << 25
 
+# A per-channel op (a window copy, a BatchNorm, a ReLU, a pooling, an SGD
+# update) on at least this many elements is cut into channel bands of at
+# least _BAND_CHANNELS channels each, one per usable CPU. See ``by_channel``.
+_SPLIT_ELEMENTS = 1 << 19
+_BAND_CHANNELS = 16
+
 # helper threads, made on the first split and shared, like WORKSPACE, by
-# every Conv in the process
+# every op in the process
 _POOL = None
 
 
@@ -50,17 +57,49 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
+def _band(context, fn, *args):
+    """What a helper thread runs: ``fn(*args)`` in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds there too."""
+    return context.run(fn, *args)
+
+
+def _run_split(fn, pieces):
+    """``fn(*piece)`` for every piece, each writing only its own slices.
+
+    The calling thread runs the first piece and the shared pool the rest, in
+    copies of the caller's context. Helpers take pieces first to last; the
+    caller then takes back, last first, those no helper has started. Every
+    piece a helper took is finished before this returns or raises, and a
+    helper's exception is raised here.
+    """
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="prunekit-split")
+    futures = [_POOL.submit(_band, contextvars.copy_context(), fn, *piece)
+               for piece in pieces[1:]]
+    try:
+        fn(*pieces[0])
+        for future, piece in zip(reversed(futures), reversed(pieces[1:])):
+            if future.cancel():
+                fn(*piece)
+    finally:
+        errors = [future.exception() for future in futures if not future.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def _matmul(a, b, out):
     """``np.matmul(a, b, out=out)`` for 2-D operands, with a large product
     split across the usable CPUs when BLAS runs one thread.
 
     The wider output dimension (columns, else rows) is cut into contiguous
     pieces, one per CPU, each of about half ``_SPLIT_MACS`` multiply-adds or
-    more. The calling thread and helper threads compute the pieces, each into
-    its own slice of ``out``, and the inner dimension is never cut, so every
-    output element is the same BLAS sum as in the whole product. OpenBLAS
-    summed pieces under 2^20 multiply-adds in another order, so pieces stay
-    far above that. Helper threads run only ``np.matmul``.
+    more, and ``_run_split`` computes them, each into its own slice of
+    ``out``. The inner dimension is never cut, so every output element is the
+    same BLAS sum as in the whole product. OpenBLAS summed pieces under 2^20
+    multiply-adds in another order, so pieces stay far above that.
     """
     (m, k), n = a.shape, b.shape[1]
     macs, wide = m * k * n, max(m, n)
@@ -69,10 +108,6 @@ def _matmul(a, b, out):
         pieces = min(_usable_cpus(), macs // (_SPLIT_MACS // 2), wide // 16)
     if pieces < 2:
         return np.matmul(a, b, out=out)
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _POOL = ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="prunekit-gemm")
     # every cut at a multiple of 16, so only the last piece ends in the
     # narrow tail the whole product has
     edges = [16 * round(wide * i / pieces / 16) for i in range(pieces)] + [wide]
@@ -81,22 +116,49 @@ def _matmul(a, b, out):
         parts = [(a, b[:, cut], out[:, cut]) for cut in cuts]
     else:
         parts = [(a[cut], b, out[cut]) for cut in cuts]
-    futures = [_POOL.submit(np.matmul, x, y, out=o) for x, y, o in parts[1:]]
-    try:
-        x, y, o = parts[0]
-        np.matmul(x, y, out=o)
-        # helpers take pieces first to last; the caller takes back, last
-        # first, those no helper has started
-        for future, (x, y, o) in zip(reversed(futures), reversed(parts[1:])):
-            if future.cancel():
-                np.matmul(x, y, out=o)
-    finally:
-        # every piece a helper took is finished before ``out`` is handed back
-        errors = [future.exception() for future in futures if not future.cancel()]
-    for error in errors:
-        if error is not None:
-            raise error
+    _run_split(np.matmul, parts)
     return out
+
+
+def by_channel(fn, arrays, *args):
+    """``fn(*arrays, *args)``, with a large op cut into contiguous channel
+    bands across the usable CPUs when BLAS runs one thread.
+
+    The first axis of every array in ``arrays`` is the channel axis (a None
+    entry stays None), and ``fn`` applied to channel slices of them computes
+    the same channels as the whole call: it writes each channel's results
+    only from that channel's inputs. Each band then does the whole op's
+    arithmetic on its channels, in the same order, so the values do not
+    depend on the cut. The op is cut only when ``arrays[0]`` holds at least
+    ``_SPLIT_ELEMENTS`` elements and each band gets at least
+    ``_BAND_CHANNELS`` channels; those tests come first, so a small op costs
+    one call more than running ``fn`` itself. ``fn`` runs only NumPy calls
+    on its arguments, never a function a tracer wraps, and takes no
+    ``WORKSPACE`` block.
+    """
+    first = arrays[0]
+    if first.size < _SPLIT_ELEMENTS or first.shape[0] < 2 * _BAND_CHANNELS \
+            or not _blas_one_thread():
+        return fn(*arrays, *args)
+    channels = first.shape[0]
+    pieces = min(_usable_cpus(), channels // _BAND_CHANNELS)
+    if pieces < 2:
+        return fn(*arrays, *args)
+    edges = [channels * i // pieces for i in range(pieces + 1)]
+    _run_split(fn, [(*(a if a is None else a[i:j] for a in arrays), *args)
+                    for i, j in zip(edges, edges[1:])])
+
+
+def _copy_into(dst, src):
+    dst[...] = src
+
+
+def _add_into(dst, src):
+    dst += src
+
+
+def _sum_rows(rows, out):
+    out[...] = rows.sum(axis=1)
 
 
 def _pad(x, padding):
@@ -104,7 +166,7 @@ def _pad(x, padding):
     on each spatial side."""
     c, h, w, n = x.shape
     padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=x.dtype)
-    padded[:, padding:padding + h, padding:padding + w] = x
+    by_channel(_copy_into, (padded[:, padding:padding + h, padding:padding + w], x))
     return padded
 
 
@@ -142,9 +204,13 @@ def im2col(x, kh, kw, stride, padding, rows=None, out=None):
         cols = np.empty(shape, dtype=x.dtype)
     else:
         cols = out[:np.prod(shape)].reshape(shape)
-    for i, j, window in _windows(kh, kw, stride, (r0, r1), out_w):
-        cols[:, i, j] = x[window]
+    by_channel(_fill_windows, (cols, x), kh, kw, stride, (r0, r1), out_w)
     return cols.reshape(c * kh * kw, -1), out_h, out_w
+
+
+def _fill_windows(cols, x, kh, kw, stride, rows, out_w):
+    for i, j, window in _windows(kh, kw, stride, rows, out_w):
+        cols[:, i, j] = x[window]
 
 
 def col2im(dcols, x_shape, kh, kw, stride, padding):
@@ -156,11 +222,15 @@ def col2im(dcols, x_shape, kh, kw, stride, padding):
     out_w = (w + 2 * padding - kw) // stride + 1
     dcols = dcols.reshape(c, kh, kw, out_h, out_w, n)
     dx = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=dcols.dtype)
-    for i, j, window in _windows(kh, kw, stride, (0, out_h), out_w):
-        dx[window] += dcols[:, i, j]
+    by_channel(_scatter_windows, (dcols, dx), kh, kw, stride, (0, out_h), out_w)
     if padding:
         dx = dx[:, padding:-padding, padding:-padding]
     return dx.transpose(3, 0, 1, 2)
+
+
+def _scatter_windows(dcols, dx, kh, kw, stride, rows, out_w):
+    for i, j, window in _windows(kh, kw, stride, rows, out_w):
+        dx[window] += dcols[:, i, j]
 
 
 class Workspace:
@@ -173,8 +243,8 @@ class Workspace:
     out, so a caller uses one block at a time and keeps nothing in it past
     its own call. The one ``WORKSPACE`` below is shared by every ``Conv`` of
     every ``Network`` in the process. Only the calling thread takes blocks;
-    a split GEMM's helper threads write into their slices of a block and
-    are done before ``_matmul`` returns.
+    a split op's helper threads write into their slices of a block and are
+    done before ``_run_split`` returns.
     """
 
     def __init__(self):
@@ -261,7 +331,7 @@ class Conv(Layer):
             # are never formed whole, and backward works from the input
             self._cache = (x.shape, x if cols is None else None, cols)
         if self.bias is not None:
-            out += self.bias[:, None]
+            by_channel(_add_into, (out, self.bias[:, None]))
         return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
     def _out_size(self, h, w):
@@ -302,7 +372,8 @@ class Conv(Layer):
         out_c, _, kh, kw = self.weight.shape
         dflat = dout.transpose(1, 2, 3, 0).reshape(out_c, -1)
         if self.bias is not None:
-            self.d_bias = dflat.sum(axis=1)
+            self.d_bias = np.empty(out_c, dtype=dflat.dtype)
+            by_channel(_sum_rows, (dflat, self.d_bias))
         if cols is None:
             dtype = x.dtype
             self._weight_grad_by_offset(x, dflat)
@@ -337,7 +408,7 @@ class Conv(Layer):
         # slab; the gradient is its (O, C, kh, kw) view
         d_weight = np.empty((kh, kw, out_c, in_c), dtype=np.result_type(dflat, x))
         for i, j, window in _windows(kh, kw, self.stride, (0, out_h), out_w):
-            block[...] = xpad[window]
+            by_channel(_copy_into, (block, xpad[window]))
             _matmul(dflat, flat.T, d_weight[i, j])
         self.d_weight = d_weight.transpose(2, 3, 0, 1)
 
@@ -351,7 +422,7 @@ class Conv(Layer):
         dx = np.zeros((in_c, h + 2 * p, w + 2 * p, n), dtype=dtype)
         for i, j, window in _windows(kh, kw, self.stride, (0, out_h), out_w):
             _matmul(np.ascontiguousarray(self.weight[:, :, i, j]).T, dflat, flat)
-            dx[window] += block
+            by_channel(_add_into, (dx[window], block))
         if p:
             dx = dx[:, p:-p, p:-p]
         return dx.transpose(3, 0, 1, 2)
@@ -382,27 +453,20 @@ class BatchNorm(Layer):
         rows = x.transpose(1, 2, 3, 0).reshape(c, -1)
         out = np.empty(rows.shape, dtype=rows.dtype)
         if train:
-            # two-pass statistics, the mean corrected by the mean residual;
-            # the residual is scratch, held in the output buffer
-            mean = rows.mean(axis=1)
-            resid = np.subtract(rows, mean[:, None], out=out)
-            corr = resid.mean(axis=1)
-            mean += corr
-            var = np.square(resid, out=resid).mean(axis=1) - corr * corr
+            mean, var, inv_std = (np.empty(c, dtype=rows.dtype) for _ in range(3))
+            xhat = np.empty(rows.shape, dtype=rows.dtype)
+            by_channel(_batchnorm_train, (rows, out, xhat, mean, var, inv_std,
+                                          self.gamma, self.beta), self.EPS)
             m = self.MOMENTUM
             self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(x.dtype)
             self.running_var = ((1 - m) * self.running_var + m * var).astype(x.dtype)
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.EPS)
-        # training keeps xhat for backward; eval forms it in the output buffer
-        xhat = np.subtract(rows, mean[:, None], out=None if train else out)
-        xhat *= inv_std[:, None]
-        np.multiply(xhat, self.gamma[:, None], out=out)
-        out += self.beta[:, None]
-        if train:
+            # training keeps xhat for backward
             self._cache = (xhat, inv_std)
+        else:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.EPS)
+            # eval forms xhat in the output buffer
+            by_channel(_batchnorm_apply, (rows, out, None, self.running_mean, inv_std,
+                                          self.gamma, self.beta))
         return out.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
     def backward(self, dout, input_grad=True):
@@ -410,18 +474,12 @@ class BatchNorm(Layer):
         self._cache = None
         n, c, h, w = dout.shape
         rows = dout.transpose(1, 2, 3, 0).reshape(c, -1)
-        m = rows.shape[1]
-        self.d_gamma = (rows * xhat).sum(axis=1)
-        self.d_beta = rows.sum(axis=1)
-        if not input_grad:
-            return None
-        # batch-stat backprop per channel row:
-        # gamma * inv_std * (dout - mean(dout) - xhat * mean(dout * xhat))
-        dx = xhat * (self.d_gamma / m)[:, None]
-        np.subtract(rows, dx, out=dx)
-        dx -= (self.d_beta / m)[:, None]
-        dx *= (self.gamma * inv_std)[:, None]
-        return dx.reshape(c, h, w, n).transpose(3, 0, 1, 2)
+        self.d_gamma = np.empty(c, dtype=rows.dtype)
+        self.d_beta = np.empty(c, dtype=rows.dtype)
+        dx = np.empty(rows.shape, dtype=rows.dtype) if input_grad else None
+        by_channel(_batchnorm_backward, (rows, xhat, dx, self.d_gamma, self.d_beta,
+                                         self.gamma * inv_std))
+        return None if dx is None else dx.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -435,17 +493,74 @@ class BatchNorm(Layer):
         }
 
 
+def _batchnorm_train(rows, out, xhat, mean, var, inv_std, gamma, beta, eps):
+    """Two-pass batch statistics per channel row, the mean corrected by the
+    mean residual (the residual is scratch, held in ``out``), then the
+    normalisation."""
+    mean[...] = rows.mean(axis=1)
+    resid = np.subtract(rows, mean[:, None], out=out)
+    corr = resid.mean(axis=1)
+    mean += corr
+    var[...] = np.square(resid, out=resid).mean(axis=1) - corr * corr
+    inv_std[...] = 1.0 / np.sqrt(var + eps)
+    _batchnorm_apply(rows, out, xhat, mean, inv_std, gamma, beta)
+
+
+def _batchnorm_apply(rows, out, xhat, mean, inv_std, gamma, beta):
+    """``out = gamma * xhat + beta`` per channel row, ``xhat`` formed in
+    ``out`` when None."""
+    xhat = np.subtract(rows, mean[:, None], out=out if xhat is None else xhat)
+    xhat *= inv_std[:, None]
+    np.multiply(xhat, gamma[:, None], out=out)
+    out += beta[:, None]
+
+
+def _batchnorm_backward(rows, xhat, dx, d_gamma, d_beta, scale):
+    """Batch-stat backprop per channel row, ``scale`` being gamma * inv_std:
+    scale * (dout - mean(dout) - xhat * mean(dout * xhat)). No input
+    gradient when ``dx`` is None."""
+    m = rows.shape[1]
+    d_gamma[...] = (rows * xhat).sum(axis=1)
+    d_beta[...] = rows.sum(axis=1)
+    if dx is None:
+        return
+    np.multiply(xhat, (d_gamma / m)[:, None], out=dx)
+    np.subtract(rows, dx, out=dx)
+    dx -= (d_beta / m)[:, None]
+    dx *= scale[:, None]
+
+
+def _channels_first(x):
+    """An (N, C, ...) activation or gradient, or None, viewed with its
+    channels first: free for one held batch-innermost."""
+    if x is None:
+        return None
+    return x.transpose(1, 2, 3, 0) if x.ndim == 4 else x.T
+
+
+def _relu_forward(x, out, mask):
+    np.maximum(x, 0, out=out)
+    if mask is not None:
+        np.greater(x, 0, out=mask)
+
+
 class ReLU(Layer):
     def forward(self, x, train):
-        out = np.maximum(x, 0)
+        out = np.empty_like(x)
+        mask = np.empty_like(x, dtype=bool) if train else None
+        by_channel(_relu_forward, tuple(map(_channels_first, (x, out, mask))))
         if train:
-            self._cache = x > 0
+            self._cache = mask
         return out
 
     def backward(self, dout, input_grad=True):
         mask = self._cache
         self._cache = None
-        return dout * mask if input_grad else None
+        if not input_grad:
+            return None
+        dx = np.empty_like(dout)
+        by_channel(np.multiply, tuple(map(_channels_first, (dout, mask, dx))))
+        return dx
 
 
 class MaxPool(Layer):
@@ -467,18 +582,10 @@ class MaxPool(Layer):
         k = self.kernel
         if self._tiles(h, w):
             win = x.transpose(1, 2, 3, 0).reshape(c, h // k, k, w // k, k, n)
-            out = win[:, :, 0, :, 0].copy()
-            for i, j in np.ndindex(k, k):
-                np.maximum(out, win[:, :, i, :, j], out=out)
+            out = np.empty((c, h // k, w // k, n), dtype=x.dtype)
+            first = np.empty(win.shape, dtype=bool) if train else None
+            by_channel(_pool_tiles, (win, out, first))
             if train:
-                # one-hot of each window's first maximum, in the input's layout
-                first = np.empty(win.shape, dtype=bool)
-                taken = np.zeros(out.shape, dtype=bool)
-                for i, j in np.ndindex(k, k):
-                    hit = win[:, :, i, :, j] == out
-                    hit &= ~taken
-                    first[:, :, i, :, j] = hit
-                    taken |= hit
                 self._cache = (x.shape, first)
             return out.transpose(3, 0, 1, 2)
         cols, out_h, out_w = im2col(x, k, k, self.stride, 0)
@@ -498,11 +605,30 @@ class MaxPool(Layer):
         k = self.kernel
         dt = dout.transpose(1, 2, 3, 0)
         if self._tiles(h, w):
-            dx = picked * dt[:, :, None, :, None]
+            dx = np.empty(picked.shape, dtype=dout.dtype)
+            by_channel(np.multiply, (picked, dt[:, :, None, :, None], dx))
             return dx.reshape(c, h, w, n).transpose(3, 0, 1, 2)
         dcols = np.zeros((c, k * k, picked.shape[2]), dtype=dout.dtype)
         np.put_along_axis(dcols, picked, dt.reshape(c, 1, -1), axis=1)
         return col2im(dcols, x_shape, k, k, self.stride, 0)
+
+
+def _pool_tiles(win, out, first):
+    """Each (C, H/k, k, W/k, k, N) tile's maximum into ``out`` and, unless
+    ``first`` is None, the one-hot of each tile's first maximum into
+    ``first``, in the input's layout."""
+    k = win.shape[2]
+    out[...] = win[:, :, 0, :, 0]
+    for i, j in np.ndindex(k, k):
+        np.maximum(out, win[:, :, i, :, j], out=out)
+    if first is None:
+        return
+    taken = np.zeros(out.shape, dtype=bool)
+    for i, j in np.ndindex(k, k):
+        hit = win[:, :, i, :, j] == out
+        hit &= ~taken
+        first[:, :, i, :, j] = hit
+        taken |= hit
 
 
 class Linear(Layer):

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..errors import BoundsError, TrainingDiverged
 from ..util import derive_seed
+from . import layers
 
 
 @dataclass(frozen=True)
@@ -86,21 +87,40 @@ def _sgd_update(layer, velocity, lr, config: TrainConfig) -> None:
     returns. The layer gives its gradients up, so none outlives its own
     layer's update, and a training step holds one layer's gradients at a time.
 
-    ``wd * w`` is the one array allocated: each gradient is added into it and
-    dropped, and the sum scaled by lr, which rounds as ``lr * (g + wd * w)``
-    does. The offset backward's weight gradient is a transposed view, so
-    adding into the gradient and stepping from it would cross layouts twice.
+    A parameter's velocity is made at its first update, as the step from a
+    zero velocity would make it. Large parameters are stepped in bands of
+    their first axis (``layers.by_channel``).
     """
     grads = layer.grads()
     layer.release_grads()
     for name, w in layer.params().items():
-        step = config.weight_decay * w
-        step += grads.pop(name)
-        step *= lr
-        v = velocity[name]
-        v *= config.momentum
+        fresh = name not in velocity
+        if fresh:
+            velocity[name] = np.empty_like(w)
+        layers.by_channel(_momentum_step, (w, grads.pop(name), velocity[name]),
+                          lr, config.weight_decay, config.momentum, fresh)
+
+
+def _momentum_step(w, g, v, lr, weight_decay, momentum, fresh):
+    """``v = momentum * v - lr * (g + weight_decay * w); w += v``, with
+    ``v`` taken as zero when ``fresh``.
+
+    ``weight_decay * w`` is the one array allocated: the gradient is added
+    into it and the sum scaled by lr, which rounds as ``lr * (g + wd * w)``
+    does. The offset backward's weight gradient is a transposed view, so
+    adding into the gradient and stepping from it would cross layouts twice.
+    A fresh velocity is ``0 - step``, not ``-step``: a zero step then gives
+    +0.0, as ``0 * momentum - step`` does.
+    """
+    step = weight_decay * w
+    step += g
+    step *= lr
+    if fresh:
+        np.subtract(0, step, out=v)
+    else:
+        v *= momentum
         v -= step
-        w += v
+    w += v
 
 
 def train(net, train_images, train_labels, test_images, test_labels,
@@ -113,8 +133,7 @@ def train(net, train_images, train_labels, test_images, test_labels,
     """
     rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     n = train_images.shape[0]
-    velocity = {layer: {k: np.zeros_like(p) for k, p in layer.params().items()}
-                for layer in net.layers}
+    velocity = {layer: {} for layer in net.layers}
     history = []
 
     writer = None
@@ -125,26 +144,29 @@ def train(net, train_images, train_labels, test_images, test_labels,
         writer.writerow(["epoch", "lr", "train_loss", "test_accuracy"])
 
     try:
-        for epoch in range(config.epochs):
-            lr = lr_for_epoch(config, epoch)
-            order = rng.permutation(n)
-            losses = []
-            for bi, start in enumerate(range(0, n, config.batch_size)):
-                idx = order[start:start + config.batch_size]
-                # a non-finite loss runs no backward, so no layer updates
-                loss = net.loss_and_grads(
-                    train_images[idx], train_labels[idx], loss=config.loss, train=True,
-                    update=lambda layer: _sgd_update(layer, velocity[layer], lr, config))
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(epoch, bi, loss)
-                losses.append(loss)
-            acc = evaluate(net, test_images, test_labels)
-            stats = EpochStats(epoch, lr, float(np.mean(losses)), acc)
-            history.append(stats)
-            if writer is not None:
-                writer.writerow([stats.epoch, f"{stats.lr:.6g}",
-                                 f"{stats.train_loss:.6f}", f"{stats.test_accuracy:.4f}"])
-                trace_file.flush()
+        # a step that overflows ends in a non-finite loss, which raises
+        # TrainingDiverged, so NumPy need not warn of the overflow too
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(config.epochs):
+                lr = lr_for_epoch(config, epoch)
+                order = rng.permutation(n)
+                losses = []
+                for bi, start in enumerate(range(0, n, config.batch_size)):
+                    idx = order[start:start + config.batch_size]
+                    # a non-finite loss runs no backward, so no layer updates
+                    loss = net.loss_and_grads(
+                        train_images[idx], train_labels[idx], loss=config.loss, train=True,
+                        update=lambda layer: _sgd_update(layer, velocity[layer], lr, config))
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged(epoch, bi, loss)
+                    losses.append(loss)
+                acc = evaluate(net, test_images, test_labels)
+                stats = EpochStats(epoch, lr, float(np.mean(losses)), acc)
+                history.append(stats)
+                if writer is not None:
+                    writer.writerow([stats.epoch, f"{stats.lr:.6g}",
+                                     f"{stats.train_loss:.6f}", f"{stats.test_accuracy:.4f}"])
+                    trace_file.flush()
     finally:
         if trace_file is not None:
             trace_file.close()

@@ -1,5 +1,6 @@
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from prunekit import archspec, data, pipeline
-from prunekit.nncore import Network, TrainConfig, train
+from prunekit.nncore import Network, TrainConfig, layers, train
 from prunekit.swarm import SwarmConfig
 from prunekit.util import derive_seed
 
@@ -71,3 +72,37 @@ def trained_tiny4(blob_sets):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool that records every callable it is handed and, for each
+    piece of a split (``layers._band``), the function the piece runs."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.calls = []
+        self.runs = []
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls.append(fn)
+        self.runs.append(args[1] if fn is layers._band else fn)
+        self.futures.append(super().submit(fn, *args, **kwargs))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def gemm_split(monkeypatch):
+    """Split conv products and large per-channel ops whatever runner the
+    tests are on: BLAS counts as one thread, the product cutoff is 2^24
+    multiply-adds, and the pool records what it runs. Returns ``(pool,
+    use)``; ``use(cpus)`` sets the usable CPU count, where 1 keeps every op
+    whole."""
+    pool = RecordingPool(max_workers=3)
+    cpus = [1]
+    monkeypatch.setattr(layers, "_POOL", pool)
+    monkeypatch.setattr(layers, "_blas_one_thread", lambda: True)
+    monkeypatch.setattr(layers, "_SPLIT_MACS", 1 << 24)
+    monkeypatch.setattr(layers, "_usable_cpus", lambda: cpus[0])
+    yield pool, lambda n: cpus.__setitem__(0, n)
+    pool.shutdown()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import dbscan_reference, partition_signature, random_distance_matrix
 
+from prunekit import cluster
 from prunekit.archspec import LayerDef, assemble
 from prunekit.cluster import (
     NOISE,
@@ -115,6 +116,44 @@ class TestDbscan:
         assert list(got.labels) == list(want_labels)
         assert list(got.core_flags) == list(want_cores)
 
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_matches_reference_on_planted_groups(self, n):
+        """Clique and chain groups in shuffled channel order, noise, and
+        border channels that touch two groups, at min_pts 4."""
+        rng = np.random.default_rng(n)
+        d = np.triu(rng.uniform(0.5, 1.0, (n, n)), 1)
+        d += d.T
+
+        def near(i, j, value):
+            d[i, j] = d[j, i] = value
+        order = rng.permutation(n)
+        groups, at = [], 0
+        while at < n * 3 // 4:
+            size = int(rng.integers(4, 12))
+            groups.append(order[at:at + size])
+            at += size
+        for k, group in enumerate(groups):
+            if k % 2:  # a chain: each member near the next three
+                for step in (1, 2, 3):
+                    near(group[:-step], group[step:], rng.uniform(0, 0.08, len(group) - step))
+            else:
+                i, j = np.triu_indices(len(group), 1)
+                near(group[i], group[j], rng.uniform(0, 0.08, i.size))
+        borders = order[at:at + n // 16]
+        for b in borders:
+            first, second = rng.choice(len(groups), 2, replace=False)
+            near(b, rng.choice(groups[first]), 0.09)
+            near(b, rng.choice(groups[second]), 0.09)
+        np.fill_diagonal(d, 0.0)
+        got = dbscan(d, NeighborhoodParams(0.1, 4))
+        want_labels, want_cores = dbscan_reference(d, 0.1, 4)
+        assert list(got.labels) == list(want_labels)
+        assert list(got.core_flags) == list(want_cores)
+        # a border channel takes the lower of two clusters it touches
+        touching = [{got.labels[c] for c in np.flatnonzero(d[b] <= 0.1) if got.core_flags[c]}
+                    for b in borders]
+        assert all(len(t) == 2 and got.labels[b] == min(t) for b, t in zip(borders, touching))
+
     def test_counts_consistent(self):
         d = two_groups_plus_outlier()
         out = dbscan(d, NeighborhoodParams(0.05, 3))
@@ -208,6 +247,27 @@ class TestCoarsePrune:
             assert report.coarse_channels == want
             assert report.clusters == out.num_clusters
             assert report.noise == out.num_noise
+
+    def test_split_sums_give_the_serial_bytes(self, gemm_split):
+        """Maps of 64 channels at 32x32 pass the real cutoff, so the coarse
+        pass sums them in channel bands at 2 CPUs."""
+        pool, use = gemm_split
+        defs = [LayerDef("conv", out_channels=64), LayerDef("batchnorm"),
+                LayerDef("activation"), LayerDef("conv", out_channels=64),
+                LayerDef("activation"), LayerDef("classifier-head")]
+        template = assemble("split", (3, 32, 32), 10, defs)
+        net = Network(template, seed=0)
+        images = np.random.default_rng(0).standard_normal((64, 3, 32, 32), dtype=np.float32)
+        runs = []
+        for cpus in (1, 2):
+            use(cpus)
+            sims = {}
+            structure, reports = coarse_prune(template, net, images, NeighborhoodParams(0.05, 3),
+                                              batch_size=32, similarity_sink=sims.__setitem__)
+            runs.append((structure, reports,
+                         {slot: sim.entries.tobytes() for slot, sim in sims.items()}))
+        assert cluster._sum_samples in pool.runs
+        assert runs[0] == runs[1]
 
     def test_structure_never_wider_than_original(self, trained_tiny4, blob_sets):
         template, net = trained_tiny4

@@ -6,7 +6,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from oracles import (
     maxpool_naive,
 )
 
-from prunekit import archspec
+from prunekit import archspec, cluster
 from prunekit.archspec import LayerDef, assemble
 from prunekit.errors import BoundsError, StructureError, TrainingDiverged
 from prunekit.nncore import (
@@ -786,6 +786,43 @@ class TestTrain:
         for k, v in net.params().items():
             np.testing.assert_array_equal(v, before[-1][k], err_msg=k)
 
+    def test_diverging_training_raises_and_does_not_warn(self):
+        """The overflow that makes the loss non-finite is TrainingDiverged,
+        not also a RuntimeWarning from the layer it happened in."""
+        images, labels = separable_toy_set(n=64)
+        net = Network(small_conv_template(), seed=2)
+        cfg = TrainConfig(epochs=2, batch_size=16, initial_lr=1e30, lr_drops=(), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged):
+                train(net, images, labels, images, labels, cfg)
+
+    def test_first_update_makes_the_velocity_the_zero_velocity_step_would(self):
+        """After one and two steps, parameters and velocities are the bytes of
+        the update from zero velocity buffers, with a gradient holding exact
+        zeros of both signs."""
+        rng = np.random.default_rng(0)
+        cfg = TrainConfig(weight_decay=0.0)  # a zero gradient is a zero step
+        lazy = Conv(4, 8, (3, 3), 1, 1, True, rng, np.float32)
+        eager = {k: p.copy() for k, p in lazy.params().items()}
+        lazy_v, eager_v = {}, {k: np.zeros_like(p) for k, p in eager.items()}
+        for _ in range(2):
+            grads = {k: rng.standard_normal(p.shape, dtype=np.float32) for k, p in eager.items()}
+            for g in grads.values():
+                g.flat[:4] = [0.0, -0.0, 0.0, -0.0]
+            lazy.d_weight, lazy.d_bias = grads["weight"].copy(), grads["bias"].copy()
+            train_module._sgd_update(lazy, lazy_v, 0.1, cfg)
+            for k, w in eager.items():
+                step = cfg.weight_decay * w
+                step += grads[k]
+                step *= 0.1
+                eager_v[k] *= cfg.momentum
+                eager_v[k] -= step
+                w += eager_v[k]
+            for k, w in lazy.params().items():
+                assert w.tobytes() == eager[k].tobytes(), k
+                assert lazy_v[k].tobytes() == eager_v[k].tobytes(), k
+
     def test_bare_loss_and_grads_sets_every_gradient(self):
         images, labels = separable_toy_set(n=8)
         net = Network(small_conv_template(), seed=0)
@@ -890,41 +927,15 @@ class TestDeterministicInit:
                    for x, y in zip(a.params().values(), b.params().values()))
 
 
-class RecordingPool(ThreadPoolExecutor):
-    """A thread pool that records every callable it is handed."""
-
-    def __init__(self, max_workers):
-        super().__init__(max_workers=max_workers)
-        self.calls = []
-        self.futures = []
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.calls.append(fn)
-        self.futures.append(super().submit(fn, *args, **kwargs))
-        return self.futures[-1]
-
-
-@pytest.fixture
-def gemm_split(monkeypatch):
-    """Split conv products whatever runner the tests are on: BLAS counts as
-    one thread, the cutoff is 2^24 multiply-adds, and the pool records what
-    it runs. Returns ``(pool, use)``; ``use(cpus)`` sets the usable CPU
-    count, where 1 keeps every product whole."""
-    pool = RecordingPool(max_workers=3)
-    cpus = [1]
-    monkeypatch.setattr(layers, "_POOL", pool)
-    monkeypatch.setattr(layers, "_blas_one_thread", lambda: True)
-    monkeypatch.setattr(layers, "_SPLIT_MACS", 1 << 24)
-    monkeypatch.setattr(layers, "_usable_cpus", lambda: cpus[0])
-    yield pool, lambda n: cpus.__setitem__(0, n)
-    pool.shutdown()
+def conv_shapes(template):
+    """(in_channels, out_channels, side) of each distinct conv of a template
+    whose convs are all 3x3, stride 1, padding 1."""
+    return sorted({(s.in_channels, s.out_channels, s.out_spatial[0])
+                   for s in template.layers if s.kind == archspec.KIND_CONV})
 
 
 def vgg16_conv_shapes():
-    """(in_channels, out_channels, side) of each distinct conv of vgg16-cifar;
-    every one is 3x3, stride 1, padding 1."""
-    return sorted({(s.in_channels, s.out_channels, s.out_spatial[0])
-                   for s in archspec.vgg16_cifar(10).layers if s.kind == archspec.KIND_CONV})
+    return conv_shapes(archspec.vgg16_cifar(10))
 
 
 def shape_id(value):
@@ -932,27 +943,38 @@ def shape_id(value):
 
 
 def conv_run(shape, batch, train):
-    """A seeded vgg16 conv and batch; the returned call runs its forward, and
-    in training its backward, and gives the output, then the weight, bias
-    and input gradients."""
+    """A seeded vgg16 conv block (conv, BatchNorm, ReLU, 2x2 max pool) and
+    batch; the returned call runs its forward, and in training its backward,
+    and gives the output, then the BatchNorm running statistics and the
+    conv's weight, bias and input gradients and BatchNorm's."""
     in_c, out_c, side = shape
     rng = np.random.default_rng(in_c * 1000 + out_c)
     conv = Conv(in_c, out_c, (3, 3), 1, 1, True, rng, np.float32)
     conv.bias[...] = rng.normal(size=out_c)
+    block = [conv, None, ReLU(), MaxPool(2, 2)]
     x = batch_innermost(rng.standard_normal((batch, in_c, side, side), dtype=np.float32))
-    dout = batch_innermost(rng.standard_normal((batch, out_c, side, side), dtype=np.float32))
+    dout = batch_innermost(
+        rng.standard_normal((batch, out_c, side // 2, side // 2), dtype=np.float32))
 
     def run():
-        out = conv.forward(x, train)
+        block[1] = BatchNorm(out_c, np.float32)  # fresh running statistics
+        out = x
+        for layer in block:
+            out = layer.forward(out, train)
         if not train:
             return [out]
-        dx = conv.backward(dout)
-        return [out, conv.d_weight, conv.d_bias, dx]
+        d = dout
+        for layer in reversed(block):
+            d = layer.backward(d)
+        bn = block[1]
+        return [out, bn.running_mean, bn.running_var, conv.d_weight, conv.d_bias,
+                bn.d_gamma, bn.d_beta, d]
     return run
 
 
 class TestSplitGemm:
-    """Large conv products split across threads give the serial run's bits."""
+    """Large conv products and per-channel ops split across threads give the
+    serial run's bits."""
 
     KEPT = 1 << 40  # a Conv.BAND_BYTES that keeps every conv's columns
 
@@ -963,7 +985,9 @@ class TestSplitGemm:
         assert not pool.calls
         use(2)
         split = run()
-        assert pool.calls and all(fn is np.matmul for fn in pool.calls)
+        # every pool call is a piece of a split, and products are among them
+        assert pool.calls and all(fn is layers._band for fn in pool.calls)
+        assert np.matmul in pool.runs
         for a, b in zip(serial, split, strict=True):
             assert np.array_equal(a, b)
 
@@ -1019,8 +1043,10 @@ class TestSplitGemm:
         assert len(pool.futures) == 3 and all(f.done() for f in pool.futures)
 
     def test_only_the_calling_thread_runs_prunekit_code(self, gemm_split, monkeypatch):
-        """Helper threads run np.matmul alone, so a tracer that wraps im2col
-        and every layer's forward and backward sees one thread."""
+        """Helper threads run only NumPy calls on slices, so a tracer that
+        wraps im2col, col2im and every layer's forward and backward sees one
+        thread. The second conv's backward runs by offset, then from kept
+        columns through col2im."""
         pool, use = gemm_split
         use(2)
         threads = set()
@@ -1030,7 +1056,8 @@ class TestSplitGemm:
                 threads.add(threading.current_thread())
                 return fn(*args, **kwargs)
             return call
-        monkeypatch.setattr(layers, "im2col", recorded(layers.im2col))
+        for name in ("im2col", "col2im"):
+            monkeypatch.setattr(layers, name, recorded(getattr(layers, name)))
         for cls in (Conv, BatchNorm, ReLU, MaxPool, Linear):
             for name in ("forward", "backward"):
                 monkeypatch.setattr(cls, name, recorded(getattr(cls, name)))
@@ -1041,9 +1068,15 @@ class TestSplitGemm:
                 LayerDef(archspec.KIND_HEAD)]
         net = Network(assemble("split", (3, 32, 32), 10, defs), seed=0)
         x = np.random.default_rng(0).standard_normal((32, 3, 32, 32), dtype=np.float32)
-        net.loss_and_grads(x, np.arange(32) % 10)
+        velocity = {layer: {} for layer in net.layers}
+        cfg = TrainConfig()
+        for band_bytes in (Conv.BAND_BYTES, self.KEPT):
+            monkeypatch.setattr(Conv, "BAND_BYTES", band_bytes)
+            net.loss_and_grads(x, np.arange(32) % 10, update=lambda layer: train_module._sgd_update(
+                layer, velocity[layer], 0.01, cfg))
         net.forward(x, train=False)
-        assert pool.calls and all(fn is np.matmul for fn in pool.calls)
+        # every pool call is a piece of a split
+        assert pool.calls and all(fn is layers._band for fn in pool.calls)
         assert threads == {threading.main_thread()}
 
     def test_desk_training_starts_no_pool(self):
@@ -1094,6 +1127,180 @@ class TestSplitGemm:
             proc.kill()
         parent_pool.shutdown()
         assert proc.exitcode == 0
+
+
+def split_net():
+    """Two 64-channel 3x3 convs at 32x32: at batch 32 their per-channel ops
+    pass the real cutoff."""
+    defs = [LayerDef(archspec.KIND_CONV, out_channels=64, kernel=3, stride=1, padding=1),
+            LayerDef(archspec.KIND_BN), LayerDef(archspec.KIND_ACT),
+            LayerDef(archspec.KIND_CONV, out_channels=64, kernel=3, stride=1, padding=1),
+            LayerDef(archspec.KIND_BN), LayerDef(archspec.KIND_ACT),
+            LayerDef(archspec.KIND_POOL, kernel=2, stride=2), LayerDef(archspec.KIND_HEAD)]
+    return Network(assemble("split", (3, 32, 32), 10, defs), seed=0)
+
+
+class TestChannelBands:
+    """Per-channel ops cut into channel bands give the serial op's bits."""
+
+    @pytest.fixture
+    def bands(self, gemm_split, monkeypatch):
+        """``gemm_split`` with every op of two or more channels split."""
+        monkeypatch.setattr(layers, "_SPLIT_ELEMENTS", 0)
+        monkeypatch.setattr(layers, "_BAND_CHANNELS", 1)
+        return gemm_split
+
+    @staticmethod
+    def ops(shape, batch):
+        """Every op the layers and the SGD update route through
+        ``layers.by_channel``, at one conv's shape and batch, each as a call
+        that returns the arrays it made."""
+        in_c, out_c, side = shape
+        rng = np.random.default_rng(in_c * 1000 + out_c + batch)
+        # one pool of normal values, tiled at an odd period: drawing the
+        # largest arrays afresh would take most of the test's time
+        values = rng.standard_normal((1 << 20) + 7, dtype=np.float32)
+
+        def normal(*shape):
+            return np.resize(values, shape)
+        x = batch_innermost(normal(batch, in_c, side, side))
+        y = batch_innermost(normal(batch, out_c, side, side))
+        dy = batch_innermost(normal(batch, out_c, side, side))
+        dpool = batch_innermost(normal(batch, out_c, side // 2, side // 2))
+        dcols = normal(in_c * 9, side * side * batch)
+        xpad = layers._pad(x.transpose(1, 2, 3, 0), 1)
+        window = next(w for i, j, w in layers._windows(3, 3, 1, (0, side), side) if (i, j) == (2, 1))
+        bias, gamma, beta = normal(out_c), normal(out_c), normal(out_c)
+        rows = dy.transpose(1, 2, 3, 0).reshape(out_c, -1)
+        conv = Conv(in_c, out_c, (3, 3), 1, 1, True, rng, np.float32)
+        start = {k: p.copy() for k, p in conv.params().items()}
+        grads = [(normal(out_c, in_c, 3, 3), normal(out_c)),
+                 (normal(3, 3, out_c, in_c).transpose(2, 3, 0, 1), normal(out_c))]
+
+        def offset_windows():
+            block = np.empty((in_c, side, side, batch), dtype=np.float32)
+            layers.by_channel(layers._copy_into, (block, xpad[window]))
+            dx = np.zeros(xpad.shape, dtype=np.float32)
+            layers.by_channel(layers._add_into, (dx[window], block))
+            return [block, dx]
+
+        def bias_and_its_gradient():
+            out = rows.copy()
+            layers.by_channel(layers._add_into, (out, bias[:, None]))
+            d_bias = np.empty(out_c, dtype=np.float32)
+            layers.by_channel(layers._sum_rows, (rows, d_bias))
+            return [out, d_bias]
+
+        def batchnorm():
+            bn = BatchNorm(out_c, np.float32)
+            bn.gamma[...], bn.beta[...] = gamma, beta
+            out = bn.forward(y, True)
+            dx = bn.backward(dy)
+            return [out, bn.running_mean, bn.running_var, dx, bn.d_gamma, bn.d_beta,
+                    bn.forward(y, False)]
+
+        def relu():
+            act = ReLU()
+            out = act.forward(y, True)
+            return [out, act.backward(dy), act.forward(y, False)]
+
+        def maxpool():
+            pool = MaxPool(2, 2)
+            out = pool.forward(y, True)
+            return [out, pool.backward(dpool), pool.forward(y, False)]
+
+        def sgd_update():
+            for name, p in start.items():
+                setattr(conv, name, p.copy())
+            velocity = {}
+            for conv.d_weight, conv.d_bias in grads:
+                train_module._sgd_update(conv, velocity, 0.1, TrainConfig())
+            return [conv.weight, conv.bias, velocity["weight"], velocity["bias"]]
+
+        def coarse_sum():
+            acc = np.empty((out_c, side, side), dtype=np.float64)
+            layers.by_channel(cluster._sum_samples, (y.swapaxes(0, 1), acc))
+            return [acc]
+
+        return {
+            "pad": lambda: [layers._pad(x.transpose(1, 2, 3, 0), 1)],
+            "im2col": lambda: [im2col(x, 3, 3, 1, 1, rows=(1, 2))[0]],
+            "col2im": lambda: [col2im(dcols, x.shape, 3, 3, 1, 1)],
+            "offset windows": offset_windows,
+            "bias": bias_and_its_gradient,
+            "batchnorm": batchnorm,
+            "relu": relu,
+            "maxpool": maxpool,
+            "sgd update": sgd_update,
+            "coarse sum": coarse_sum,
+        }
+
+    @pytest.mark.parametrize("shape, batch", [
+        *((shape, batch) for batch in (32, 64) for shape in vgg16_conv_shapes()),
+        *((shape, batch) for batch in (128, 256) for shape in conv_shapes(archspec.tiny4(4)))],
+        ids=shape_id)
+    def test_every_op_equals_serial(self, shape, batch, bands):
+        """At every vgg16-cifar conv shape and every tiny4 one, at 2, 3 and
+        4 CPUs."""
+        pool, use = bands
+        ops = self.ops(shape, batch)
+        use(1)
+        serial = {name: op() for name, op in ops.items()}
+        assert not pool.calls
+        for cpus in (2, 3, 4):
+            use(cpus)
+            for name, op in ops.items():
+                calls = len(pool.calls)
+                split = op()
+                assert len(pool.calls) > calls, name
+                for a, b in zip(serial[name], split, strict=True):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert all(fn is layers._band for fn in pool.calls)
+
+    def test_a_helper_runs_in_the_callers_errstate(self, bands):
+        pool, use = bands
+        use(2)
+        seen = {}
+        started = threading.Event()
+
+        def piece(i):
+            if i == 0:
+                started.wait(timeout=30)
+            else:
+                seen.update(thread=threading.current_thread(), errstate=np.geterr())
+                started.set()
+        with np.errstate(over="raise", invalid="ignore"):
+            layers._run_split(piece, [(0,), (1,)])
+        assert seen["thread"] is not threading.main_thread()
+        assert seen["errstate"]["over"] == "raise" and seen["errstate"]["invalid"] == "ignore"
+
+    def test_a_helper_error_is_raised_by_the_caller(self, bands):
+        pool, use = bands
+        use(2)
+        bn = BatchNorm(64, np.float32)
+        # only the second band's channels overflow
+        x = np.ones((4, 64, 4, 4), dtype=np.float32)
+        x[:, 32:] = 1e30 * np.random.default_rng(0).standard_normal((4, 32, 4, 4))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            bn.forward(batch_innermost(x), True)
+        assert pool.calls
+
+    def test_a_training_step_equals_serial(self, gemm_split):
+        """One SGD step of a net whose per-channel ops pass the real cutoff,
+        at 1 and 2 CPUs."""
+        pool, use = gemm_split
+        rng = np.random.default_rng(0)
+        images = rng.standard_normal((32, 3, 32, 32), dtype=np.float32)
+        labels = np.arange(32) % 10
+        states = []
+        for cpus in (1, 2):
+            use(cpus)
+            net = split_net()
+            history = train(net, images, labels, images, labels,
+                            TrainConfig(epochs=1, batch_size=32, seed=0))
+            states.append((history, {k: v.tobytes() for k, v in net.state_arrays().items()}))
+        assert {run for run in pool.runs if run is not np.matmul}
+        assert states[0] == states[1]
 
 
 @pytest.mark.parametrize("env, one", [
