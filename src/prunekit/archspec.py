@@ -96,6 +96,19 @@ class NetworkStructure:
         return self.channels[i]
 
 
+def check_widths(widths, bounds, where: str = "structure") -> None:
+    """Raise unless ``widths`` holds one integer (not a bool) per entry of
+    ``bounds``, each within [1, bound]; the error starts with ``where``."""
+    if len(widths) != len(bounds):
+        raise StructureError(
+            f"{where} holds {len(widths)} widths, expected {len(bounds)} "
+            "(one per prunable slot)")
+    for slot, (width, bound) in enumerate(zip(widths, bounds)):
+        if isinstance(width, bool) or not isinstance(width, Integral) \
+                or not 1 <= width <= bound:
+            raise BoundsError(f"{where}: width {width} of slot {slot} is outside [1, {bound}]")
+
+
 @dataclass(frozen=True)
 class ArchTemplate:
     name: str
@@ -114,17 +127,8 @@ class ArchTemplate:
         return self.original_structure().channels
 
     def check_widths(self, widths, where: str = "structure") -> None:
-        """Raise unless ``widths`` holds one integer (not a bool) per prunable
-        slot, each within [1, original]; the error starts with ``where``."""
-        bounds = self.slot_bounds()
-        if len(widths) != len(bounds):
-            raise StructureError(
-                f"{where} holds {len(widths)} widths, expected {len(bounds)} "
-                f"(one per prunable slot of {self.name})")
-        for slot, (width, bound) in enumerate(zip(widths, bounds)):
-            if isinstance(width, bool) or not isinstance(width, Integral) \
-                    or not 1 <= width <= bound:
-                raise BoundsError(f"{where}: width {width} of slot {slot} is outside [1, {bound}]")
+        """``check_widths`` against this template's original widths."""
+        check_widths(widths, self.slot_bounds(), where)
 
     def to_config_dict(self) -> dict:
         layers = []

@@ -53,7 +53,8 @@ def _check_distances(distances: np.ndarray) -> np.ndarray:
         raise StructureError(f"distance matrix must be square, got {d.shape}")
     if d.shape[0] < 1:
         raise StructureError("distance matrix is empty")
-    if np.abs(d - d.T).max() > 1e-9:
+    # exactly, so no label depends on which triangle a row reads
+    if not np.array_equal(d, d.T):
         raise StructureError("distance matrix is not symmetric")
     if np.abs(np.diagonal(d)).max() > 1e-9:
         raise StructureError("distance matrix diagonal is not zero")

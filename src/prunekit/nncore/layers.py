@@ -27,10 +27,6 @@ _SPLIT_MACS = 1 << 25
 _SPLIT_ELEMENTS = 1 << 19
 _BAND_CHANNELS = 16
 
-# helper threads, made on the first split and shared, like WORKSPACE, by
-# every op in the process
-_POOL = None
-
 
 def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
@@ -45,6 +41,16 @@ def _blas_one_thread():
     pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     values = [os.environ[var] for var in pins if var in os.environ]
     return bool(values) and all(v.strip() == "1" for v in values)
+
+
+# The most pieces an op is split into, and the pool's size plus the caller:
+# the usable CPUs when BLAS runs one thread, else 1, which splits nothing.
+# BLAS reads its thread variables when it loads, so they are read once, here.
+_SPLIT_CPUS = _usable_cpus() if _blas_one_thread() else 1
+
+# helper threads, made on the first split and shared, like WORKSPACE, by
+# every op in the process
+_POOL = None
 
 
 def _drop_pool():
@@ -75,7 +81,7 @@ def _run_split(fn, pieces):
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
-        _POOL = ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="prunekit-split")
+        _POOL = ThreadPoolExecutor(_SPLIT_CPUS - 1, thread_name_prefix="prunekit-split")
     futures = [_POOL.submit(_band, contextvars.copy_context(), fn, *piece)
                for piece in pieces[1:]]
     try:
@@ -103,10 +109,8 @@ def _matmul(a, b, out):
     """
     (m, k), n = a.shape, b.shape[1]
     macs, wide = m * k * n, max(m, n)
-    pieces = 1
-    if macs >= _SPLIT_MACS and _blas_one_thread():
-        pieces = min(_usable_cpus(), macs // (_SPLIT_MACS // 2), wide // 16)
-    if pieces < 2:
+    pieces = min(_SPLIT_CPUS, macs // (_SPLIT_MACS // 2), wide // 16)
+    if macs < _SPLIT_MACS or pieces < 2:
         return np.matmul(a, b, out=out)
     # every cut at a multiple of 16, so only the last piece ends in the
     # narrow tail the whole product has
@@ -137,12 +141,9 @@ def by_channel(fn, arrays, *args):
     ``WORKSPACE`` block.
     """
     first = arrays[0]
-    if first.size < _SPLIT_ELEMENTS or first.shape[0] < 2 * _BAND_CHANNELS \
-            or not _blas_one_thread():
-        return fn(*arrays, *args)
     channels = first.shape[0]
-    pieces = min(_usable_cpus(), channels // _BAND_CHANNELS)
-    if pieces < 2:
+    pieces = min(_SPLIT_CPUS, channels // _BAND_CHANNELS)
+    if first.size < _SPLIT_ELEMENTS or pieces < 2:
         return fn(*arrays, *args)
     edges = [channels * i // pieces for i in range(pieces + 1)]
     _run_split(fn, [(*(a if a is None else a[i:j] for a in arrays), *args)
@@ -263,7 +264,8 @@ WORKSPACE = Workspace()
 
 
 class Layer:
-    """Base: parameterless, cache-free passthrough.
+    """Base: cache-free passthrough. Its parameters are ``weight`` and
+    ``bias``, each where a subclass sets it to an array.
 
     Every layer has ``forward(x, train)`` and ``backward(dout, input_grad)``.
     A training forward keeps what its backward needs in ``_cache``, and the
@@ -283,7 +285,8 @@ class Layer:
     _cache = None
 
     def params(self) -> dict:
-        return {}
+        return {name: getattr(self, name) for name in ("weight", "bias")
+                if getattr(self, name, None) is not None}
 
     def state(self) -> dict:
         return self.params()
@@ -323,33 +326,13 @@ class Conv(Layer):
         self.padding = padding
 
     def forward(self, x, train):
-        n = x.shape[0]
-        out_c = self.weight.shape[0]
-        out, out_h, out_w, cols = self._forward_bands(x, self.weight.reshape(out_c, -1))
-        if train:
-            # columns that fit one band are kept for backward; larger ones
-            # are never formed whole, and backward works from the input
-            self._cache = (x.shape, x if cols is None else None, cols)
-        if self.bias is not None:
-            by_channel(_add_into, (out, self.bias[:, None]))
-        return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
-
-    def _out_size(self, h, w):
-        kh, kw = self.weight.shape[2:]
-        p, s = self.padding, self.stride
-        return (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
-
-    def _forward_bands(self, x, w2d):
-        """``w2d @ im2col(x)`` a band of output rows at a time: each band's
-        columns go into one block reused across bands, and each GEMM writes
-        its band of the (O, out_h*out_w*N) output in place. Returns the
-        output, its height and width, and the whole batch's columns when one
-        band held them all (else None)."""
         n, _, h, w = x.shape
-        kh, kw = self.weight.shape[2:]
+        out_c, _, kh, kw = self.weight.shape
         out_h, out_w = self._out_size(h, w)
+        w2d = self.weight.reshape(out_c, -1)
+        xpad = x
         if self.padding:
-            x = _pad(x.transpose(1, 2, 3, 0), self.padding).transpose(3, 0, 1, 2)
+            xpad = _pad(x.transpose(1, 2, 3, 0), self.padding).transpose(3, 0, 1, 2)
         per_row = out_w * n               # output columns per output row
         row = w2d.shape[1] * per_row      # column elements per output row
         band = max(1, min(out_h, self.BAND_BYTES // (row * x.itemsize)))
@@ -359,12 +342,24 @@ class Conv(Layer):
             block = np.empty(band * row, dtype=x.dtype)
         else:
             block = WORKSPACE.take(band * row, x.dtype)
-        out = np.empty((w2d.shape[0], out_h * per_row), dtype=np.result_type(w2d, x))
+        # each band's GEMM writes its band of the (O, out_h*out_w*N) output
+        out = np.empty((out_c, out_h * per_row), dtype=np.result_type(w2d, x))
         for r0 in range(0, out_h, band):
             r1 = min(r0 + band, out_h)
-            cols, _, _ = im2col(x, kh, kw, self.stride, 0, rows=(r0, r1), out=block)
+            cols, _, _ = im2col(xpad, kh, kw, self.stride, 0, rows=(r0, r1), out=block)
             _matmul(w2d, cols, out[:, r0 * per_row:r1 * per_row])
-        return out, out_h, out_w, (cols if band == out_h else None)
+        if train:
+            # columns that fit one band are kept for backward; larger ones
+            # are never formed whole, and backward works from the input
+            self._cache = (x.shape, None, cols) if band == out_h else (x.shape, x, None)
+        if self.bias is not None:
+            by_channel(_add_into, (out, self.bias[:, None]))
+        return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
+
+    def _out_size(self, h, w):
+        kh, kw = self.weight.shape[2:]
+        p, s = self.padding, self.stride
+        return (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
 
     def backward(self, dout, input_grad=True):
         x_shape, x, cols = self._cache
@@ -375,10 +370,7 @@ class Conv(Layer):
             self.d_bias = np.empty(out_c, dtype=dflat.dtype)
             by_channel(_sum_rows, (dflat, self.d_bias))
         if cols is None:
-            dtype = x.dtype
-            self._weight_grad_by_offset(x, dflat)
-            del x  # the input gradient needs only the input's shape
-            return self._input_grad_by_offset(x_shape, dtype, dflat) if input_grad else None
+            return self._backward_by_offset(x, dflat, input_grad)
         d_weight = np.empty((out_c, cols.shape[0]), dtype=np.result_type(dflat, cols))
         self.d_weight = _matmul(dflat, cols.T, d_weight).reshape(self.weight.shape)
         if not input_grad:
@@ -387,52 +379,40 @@ class Conv(Layer):
         dcols = _matmul(self.weight.reshape(out_c, -1).T, dflat, cols)
         return col2im(dcols, x_shape, kh, kw, self.stride, self.padding)
 
-    # Without kept columns, backward works one kernel offset (i, j) at a time
-    # (the kn2row split). An offset's window of the padded input is one
-    # (C, out_h*out_w*N) row block of the im2col columns, and it is formed in
-    # one block of the shared workspace. Every GEMM keeps the inner dimension
-    # of the whole-batch product, and the input gradient is scattered in
-    # col2im's (i, j) order, both walked by ``_windows``, so the values are
-    # the kept-columns path's.
-
-    def _weight_grad_by_offset(self, x, dflat):
+    def _backward_by_offset(self, x, dflat, input_grad):
+        """Backward without kept columns, one kernel offset (i, j) at a time
+        (the kn2row split). An offset's window of the padded input is one
+        (C, out_h*out_w*N) row block of the im2col columns; it is copied into
+        one block of the shared workspace for the weight gradient's GEMM,
+        and the input gradient's GEMM then writes into the same block, which
+        is added onto the padded input gradient. Every GEMM keeps the inner
+        dimension of the whole-batch product, and ``_windows`` walks col2im's
+        (i, j) order, so the values are the kept-columns path's."""
         n, in_c, h, w = x.shape
         out_c, _, kh, kw = self.weight.shape
+        p = self.padding
         out_h, out_w = self._out_size(h, w)
         xpad = x.transpose(1, 2, 3, 0)
-        if self.padding:
-            xpad = _pad(xpad, self.padding)
+        if p:
+            xpad = _pad(xpad, p)
         block = WORKSPACE.take((in_c, out_h, out_w, n), x.dtype)
         flat = block.reshape(in_c, -1)
         # held as (kh, kw, O, C), so each offset's GEMM fills a contiguous
         # slab; the gradient is its (O, C, kh, kw) view
         d_weight = np.empty((kh, kw, out_c, in_c), dtype=np.result_type(dflat, x))
+        dx = np.zeros((in_c, h + 2 * p, w + 2 * p, n), dtype=x.dtype) if input_grad else None
         for i, j, window in _windows(kh, kw, self.stride, (0, out_h), out_w):
             by_channel(_copy_into, (block, xpad[window]))
             _matmul(dflat, flat.T, d_weight[i, j])
+            if input_grad:
+                _matmul(np.ascontiguousarray(self.weight[:, :, i, j]).T, dflat, flat)
+                by_channel(_add_into, (dx[window], block))
         self.d_weight = d_weight.transpose(2, 3, 0, 1)
-
-    def _input_grad_by_offset(self, x_shape, dtype, dflat):
-        n, in_c, h, w = x_shape
-        kh, kw = self.weight.shape[2:]
-        p = self.padding
-        out_h, out_w = self._out_size(h, w)
-        block = WORKSPACE.take((in_c, out_h, out_w, n), dtype)
-        flat = block.reshape(in_c, -1)
-        dx = np.zeros((in_c, h + 2 * p, w + 2 * p, n), dtype=dtype)
-        for i, j, window in _windows(kh, kw, self.stride, (0, out_h), out_w):
-            _matmul(np.ascontiguousarray(self.weight[:, :, i, j]).T, dflat, flat)
-            by_channel(_add_into, (dx[window], block))
+        if dx is None:
+            return None
         if p:
             dx = dx[:, p:-p, p:-p]
         return dx.transpose(3, 0, 1, 2)
-
-    def params(self):
-        p = {"weight": self.weight}
-        if self.bias is not None:
-            p["bias"] = self.bias
-        return p
-
 
 
 class BatchNorm(Layer):
@@ -664,9 +644,3 @@ class Linear(Layer):
             return dout @ self.weight
         n, c, h, w = x.shape
         return (self.weight.T @ dout.T).reshape(c, h, w, n).transpose(3, 0, 1, 2)
-
-    def params(self):
-        p = {"weight": self.weight}
-        if self.bias is not None:
-            p["bias"] = self.bias
-        return p

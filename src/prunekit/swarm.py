@@ -103,12 +103,9 @@ def init_population(coarse, bounds, config: SwarmConfig, rng=None) -> SwarmState
     per particle in particle order. ``_score`` at iteration 0 gives each
     particle its pbest and the swarm its gbest.
     """
+    archspec.check_widths(tuple(coarse), tuple(bounds), "coarse structure")
     coarse = np.asarray(tuple(coarse), dtype=np.int64)
     bounds_arr = np.asarray(tuple(bounds), dtype=np.int64)
-    if coarse.shape != bounds_arr.shape:
-        raise BoundsError(f"coarse length {coarse.size} != bounds length {bounds_arr.size}")
-    if np.any(coarse > bounds_arr):
-        raise BoundsError("coarse structure exceeds the original widths")
     if rng is None:
         rng = np.random.default_rng(derive_seed(config.seed or 0, "swarm"))
     L = coarse.size

@@ -94,15 +94,13 @@ class RecordingPool(ThreadPoolExecutor):
 @pytest.fixture
 def gemm_split(monkeypatch):
     """Split conv products and large per-channel ops whatever runner the
-    tests are on: BLAS counts as one thread, the product cutoff is 2^24
-    multiply-adds, and the pool records what it runs. Returns ``(pool,
-    use)``; ``use(cpus)`` sets the usable CPU count, where 1 keeps every op
-    whole."""
+    tests are on: the product cutoff is 2^24 multiply-adds, and the pool
+    records what it runs. Returns ``(pool, use)``; ``use(cpus)`` sets the
+    most pieces of a split (``_SPLIT_CPUS``, the usable CPU count when BLAS
+    runs one thread), where 1 keeps every op whole."""
     pool = RecordingPool(max_workers=3)
-    cpus = [1]
     monkeypatch.setattr(layers, "_POOL", pool)
-    monkeypatch.setattr(layers, "_blas_one_thread", lambda: True)
     monkeypatch.setattr(layers, "_SPLIT_MACS", 1 << 24)
-    monkeypatch.setattr(layers, "_usable_cpus", lambda: cpus[0])
-    yield pool, lambda n: cpus.__setitem__(0, n)
+    monkeypatch.setattr(layers, "_SPLIT_CPUS", 1)
+    yield pool, lambda n: monkeypatch.setattr(layers, "_SPLIT_CPUS", n)
     pool.shutdown()

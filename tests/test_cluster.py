@@ -102,6 +102,18 @@ class TestDbscan:
         with pytest.raises(StructureError):
             dbscan(bad, NeighborhoodParams(0.1, 1))
 
+    def test_asymmetry_below_any_tolerance_is_rejected(self):
+        """Two triangles one hair apart across epsilon: each triangle's
+        rows would read a different neighbourhood of channels 2 and 3."""
+        d = np.full((6, 6), 0.9)
+        for group in ((0, 1, 2), (3, 4, 5)):
+            d[np.ix_(group, group)] = 0.05
+        np.fill_diagonal(d, 0.0)
+        d[2, 3] = 0.1
+        d[3, 2] = 0.1 + 1e-10
+        with pytest.raises(StructureError, match="not symmetric"):
+            dbscan(d, NeighborhoodParams(0.1, 3))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 9), st.integers(2, 12),
            st.floats(0.05, 0.95), st.integers(1, 4))

@@ -1093,8 +1093,7 @@ class TestSplitGemm:
             import sys
             from prunekit import archspec, data
             from prunekit.nncore import Network, TrainConfig, layers, train
-            layers._usable_cpus = lambda: 2
-            layers._blas_one_thread = lambda: True
+            layers._SPLIT_CPUS = 2
             train_set, test_set = data.make_blobs(data.SyntheticSpec(
                 num_classes=4, train_size=256, test_size=256, image_size=16, seed=0))
             net = Network(archspec.tiny4(num_classes=4), seed=0)
@@ -1111,8 +1110,7 @@ class TestSplitGemm:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_has_no_pool(self, monkeypatch):
         monkeypatch.setattr(layers, "_POOL", None)
-        monkeypatch.setattr(layers, "_blas_one_thread", lambda: True)
-        monkeypatch.setattr(layers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(layers, "_SPLIT_CPUS", 2)
         rng = np.random.default_rng(0)
         a = rng.standard_normal((64, 576), dtype=np.float32)
         b = rng.standard_normal((576, 2048), dtype=np.float32)
@@ -1302,3 +1300,25 @@ def test_blas_one_thread_reads_the_pinning_variables(env, one, monkeypatch):
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     assert layers._blas_one_thread() is one
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_split_cpus_is_read_at_import(pinned):
+    """A fresh interpreter cuts a split into one piece per usable CPU when
+    BLAS is pinned to one thread, and splits nothing otherwise."""
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in pins}
+    if pinned:
+        env.update(dict.fromkeys(pins, "1"))
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    script = textwrap.dedent("""
+        import os
+        from prunekit.nncore import layers
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        print(layers._SPLIT_CPUS, usable)
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    split_cpus, usable = map(int, done.stdout.split())
+    assert split_cpus == (usable if pinned else 1)

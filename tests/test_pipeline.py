@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +329,20 @@ class TestKilledWriteLitter:
                     assert fh.read() == data, name
         assert report.comparable_dict() == \
             RunReport.from_dict(json.loads(before["report.json"])).comparable_dict()
+
+
+class TestCrashSweep:
+    def test_an_error_at_each_write_point_resumes_to_the_same_files(self, tmp_path):
+        """An OSError in place of each atomic write and each trace record of
+        a small run, in turn; each crashed run, resumed, holds the
+        uninterrupted run's files (scripts/crash_sweep.py; CI runs its
+        SIGKILL form)."""
+        spec = importlib.util.spec_from_file_location(
+            "crash_sweep", Path(__file__).resolve().parent.parent / "scripts" / "crash_sweep.py")
+        crash_sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(crash_sweep)
+        count, failures = crash_sweep.sweep(tmp_path, log=lambda line: None)
+        assert count and not failures, failures
 
 
 def trace_structures(config):

@@ -139,6 +139,11 @@ class TestInitPopulation:
         with pytest.raises(BoundsError):
             init_population((6, 2), (5, 5), SwarmConfig(seed=0))
 
+    def test_non_integer_coarse_width_rejected(self):
+        # archspec's width rule, not a truncation to 8
+        with pytest.raises(BoundsError, match="width 8.5 of slot 0"):
+            init_population((8.5, 2), (9, 9), SwarmConfig(seed=0))
+
     def test_every_particle_gets_a_pbest(self):
         evaluator = quadratic_well((4, 4))
         cfg = SwarmConfig(particles=5, iterations=2, seed=3)
