@@ -78,7 +78,7 @@ class WritePoints:
             atomic_write(path, data)
 
         def counted_append_trace(path, records):
-            for record in records if path is not None else ():
+            for record in records:
                 self._point()
                 append_trace(path, [record])
 
@@ -122,9 +122,10 @@ def crash(out_dir, point, kill) -> str | None:
 def sweep(root, kill=False, log=print) -> tuple[int, list[str]]:
     """Crash and resume the small run at every write point under ``root``;
     returns the number of points and one line per point that went wrong."""
+    uninterrupted = small_config(Path(root, "uninterrupted"))
     with WritePoints(kill=kill) as points:
-        pipeline.run(small_config(Path(root, "uninterrupted")))
-    want = run_files(small_config(Path(root, "uninterrupted")).run_dir())
+        pipeline.run(uninterrupted)
+    want = run_files(uninterrupted.run_dir())
     failures = []
     for point in range(points.count):
         config = small_config(Path(root, f"crash{point:03d}"))

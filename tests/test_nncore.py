@@ -1302,6 +1302,7 @@ def test_blas_one_thread_reads_the_pinning_variables(env, one, monkeypatch):
     assert layers._blas_one_thread() is one
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
 @pytest.mark.parametrize("pinned", [True, False])
 def test_split_cpus_is_read_at_import(pinned):
     """A fresh interpreter cuts a split into one piece per usable CPU when
@@ -1314,8 +1315,7 @@ def test_split_cpus_is_read_at_import(pinned):
     script = textwrap.dedent("""
         import os
         from prunekit.nncore import layers
-        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        print(layers._SPLIT_CPUS, usable)
+        print(layers._SPLIT_CPUS, len(os.sched_getaffinity(0)))
     """)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
