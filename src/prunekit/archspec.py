@@ -24,7 +24,16 @@ KIND_ACT = "activation"
 KIND_BN = "batchnorm"
 KIND_HEAD = "classifier-head"
 
-_KINDS = {KIND_CONV, KIND_FC, KIND_POOL, KIND_ACT, KIND_BN, KIND_HEAD}
+# the settings each kind of layer takes, in config-dict order; a pool's padding
+# must be 0 (see LayerDef) but stays listed, so template hashes keep their bytes
+_FIELDS = {
+    KIND_CONV: ("out_channels", "kernel", "stride", "padding", "bias"),
+    KIND_FC: ("out_channels", "bias"),
+    KIND_POOL: ("kernel", "stride", "padding"),
+    KIND_ACT: (),
+    KIND_BN: (),
+    KIND_HEAD: ("bias",),
+}
 
 
 class FlopConvention(Enum):
@@ -46,7 +55,7 @@ class LayerDef:
     bias: bool = True
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _FIELDS:
             raise StructureError(f"unknown layer kind {self.kind!r}")
         if self.kind in (KIND_CONV, KIND_FC) and (
             self.out_channels is None or self.out_channels < 1
@@ -54,6 +63,9 @@ class LayerDef:
             raise StructureError(f"{self.kind} layer needs out_channels >= 1")
         if self.kernel < 1 or self.stride < 1 or self.padding < 0:
             raise StructureError("kernel/stride must be >= 1 and padding >= 0")
+        if self.kind == KIND_POOL and self.padding:
+            # MaxPool pads nothing, so a padded pool's sizes would be wrong
+            raise StructureError(f"a pool layer takes no padding other than 0, got {self.padding}")
 
 
 @dataclass(frozen=True)
@@ -72,28 +84,6 @@ class LayerSpec:
     padding: int
     out_spatial: tuple[int, int]
     bias: bool = True
-
-
-@dataclass(frozen=True)
-class NetworkStructure:
-    """Per-slot channel counts for the prunable layers of a template."""
-
-    channels: tuple[int, ...]
-
-    def __post_init__(self):
-        chans = tuple(int(c) for c in self.channels)
-        object.__setattr__(self, "channels", chans)
-        if any(c < 1 for c in chans):
-            raise BoundsError(f"channel counts must be >= 1, got {chans}")
-
-    def __len__(self) -> int:
-        return len(self.channels)
-
-    def __iter__(self):
-        return iter(self.channels)
-
-    def __getitem__(self, i):
-        return self.channels[i]
 
 
 def check_widths(widths, bounds, where: str = "structure") -> None:
@@ -118,43 +108,21 @@ class ArchTemplate:
     input_shape: tuple[int, int, int]  # (C, W, H)
     num_classes: int
 
-    def original_structure(self) -> NetworkStructure:
-        return NetworkStructure(
-            tuple(self.layers[i].out_channels for i in self.prunable_slots)
-        )
-
-    def slot_bounds(self) -> tuple[int, ...]:
-        return self.original_structure().channels
+    def original_structure(self) -> tuple[int, ...]:
+        return tuple(self.layers[i].out_channels for i in self.prunable_slots)
 
     def check_widths(self, widths, where: str = "structure") -> None:
         """``check_widths`` against this template's original widths."""
-        check_widths(widths, self.slot_bounds(), where)
+        check_widths(widths, self.original_structure(), where)
 
     def to_config_dict(self) -> dict:
-        layers = []
-        for d in self.defs:
-            entry = {"kind": d.kind}
-            if d.kind == KIND_CONV:
-                entry.update(
-                    out_channels=d.out_channels,
-                    kernel=d.kernel,
-                    stride=d.stride,
-                    padding=d.padding,
-                    bias=d.bias,
-                )
-            elif d.kind == KIND_FC:
-                entry.update(out_channels=d.out_channels, bias=d.bias)
-            elif d.kind == KIND_POOL:
-                entry.update(kernel=d.kernel, stride=d.stride, padding=d.padding)
-            elif d.kind == KIND_HEAD:
-                entry.update(bias=d.bias)
-            layers.append(entry)
         return {
             "name": self.name,
             "input_shape": list(self.input_shape),
             "num_classes": self.num_classes,
             "prunable_slots": list(self.prunable_slots),
-            "layers": layers,
+            "layers": [{"kind": d.kind, **{k: getattr(d, k) for k in _FIELDS[d.kind]}}
+                       for d in self.defs],
         }
 
     def template_hash(self) -> str:
@@ -190,35 +158,21 @@ def assemble(
     layers: list[LayerSpec] = []
     flattened = False
     for idx, d in enumerate(defs):
-        if d.kind == KIND_CONV:
+        if d.kind in (KIND_CONV, KIND_POOL):
             if flattened:
-                raise StructureError(f"layer {idx}: conv after flatten")
+                raise StructureError(f"layer {idx}: {d.kind} after flatten")
             ow = _conv_out_size(w, d.kernel, d.stride, d.padding)
             oh = _conv_out_size(h, d.kernel, d.stride, d.padding)
             if ow < 1 or oh < 1:
-                raise StructureError(f"layer {idx}: conv output spatial {ow}x{oh}")
-            layers.append(
-                LayerSpec(
-                    KIND_CONV, c, d.out_channels, (d.kernel, d.kernel),
-                    d.stride, d.padding, (ow, oh), d.bias,
-                )
-            )
-            c, w, h = d.out_channels, ow, oh
-        elif d.kind == KIND_POOL:
-            if flattened:
-                raise StructureError(f"layer {idx}: pool after flatten")
-            ow = _conv_out_size(w, d.kernel, d.stride, d.padding)
-            oh = _conv_out_size(h, d.kernel, d.stride, d.padding)
-            if ow < 1 or oh < 1:
-                raise StructureError(f"layer {idx}: pool output spatial {ow}x{oh}")
-            layers.append(
-                LayerSpec(KIND_POOL, c, c, (d.kernel, d.kernel), d.stride, d.padding, (ow, oh))
-            )
-            w, h = ow, oh
+                raise StructureError(f"layer {idx}: {d.kind} output spatial {ow}x{oh}")
+            out = d.out_channels if d.kind == KIND_CONV else c
+            layers.append(LayerSpec(d.kind, c, out, (d.kernel, d.kernel), d.stride, d.padding,
+                                    (ow, oh), d.bias))
+            c, w, h = out, ow, oh
         elif d.kind in (KIND_ACT, KIND_BN):
             spatial = (1, 1) if flattened else (w, h)
             layers.append(LayerSpec(d.kind, c, c, (1, 1), 1, 0, spatial))
-        elif d.kind in (KIND_FC, KIND_HEAD):
+        else:  # fc or classifier-head
             out = num_classes if d.kind == KIND_HEAD else d.out_channels
             in_features = c if flattened else c * w * h
             layers.append(
@@ -226,8 +180,6 @@ def assemble(
             )
             c, w, h = out, 1, 1
             flattened = True
-        else:  # pragma: no cover - guarded by LayerDef
-            raise StructureError(f"unknown layer kind {d.kind!r}")
 
     conv_slots = tuple(i for i, d in enumerate(defs) if d.kind == KIND_CONV)
     if prunable_slots is None:
@@ -361,15 +313,24 @@ BUILTIN_TEMPLATES = {"vgg16-cifar": vgg16_cifar, "tiny4": tiny4}
 
 
 def template_from_dict(d: dict) -> ArchTemplate:
+    """The template of a ``to_config_dict`` dict; rejects settings a kind does not take."""
     try:
         name = d.get("name", "custom")
         input_shape = tuple(int(v) for v in d["input_shape"])
         num_classes = int(d["num_classes"])
         defs = []
-        for entry in d["layers"]:
+        for idx, entry in enumerate(d["layers"]):
             entry = dict(entry)
             kind = entry.pop("kind")
-            defs.append(LayerDef(kind=kind, **entry))
+            unknown = [k for k in entry if kind in _FIELDS and k not in _FIELDS[kind]]
+            try:
+                if unknown:
+                    raise StructureError(
+                        f"a {kind} layer takes no {', '.join(unknown)} "
+                        f"(it takes: {', '.join(_FIELDS[kind]) or 'no settings'})")
+                defs.append(LayerDef(kind=kind, **entry))
+            except StructureError as exc:
+                raise StructureError(f"layer {idx}: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed template config: {exc}") from exc
     prunable = d.get("prunable_slots")

@@ -53,6 +53,8 @@ def _check_distances(distances: np.ndarray) -> np.ndarray:
         raise StructureError(f"distance matrix must be square, got {d.shape}")
     if d.shape[0] < 1:
         raise StructureError("distance matrix is empty")
+    if not np.isfinite(d).all():
+        raise StructureError("distance matrix holds a non-finite entry")
     # exactly, so no label depends on which triangle a row reads
     if not np.array_equal(d, d.T):
         raise StructureError("distance matrix is not symmetric")
@@ -160,4 +162,4 @@ def coarse_prune(template: archspec.ArchTemplate, net, sample_images: np.ndarray
         reports.append(LayerClusterReport(
             slot, maps.channels, assignment.num_clusters, assignment.num_noise,
             coarse_channel_count(assignment)))
-    return archspec.NetworkStructure(tuple(r.coarse_channels for r in reports)), reports
+    return tuple(r.coarse_channels for r in reports), reports

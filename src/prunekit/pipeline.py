@@ -122,7 +122,9 @@ class ExperimentConfig:
         return sha256_hex(canonical_json(self.identity_dict()).encode())[:12]
 
     def run_dir(self) -> str:
-        return os.path.join(self.out_dir, f"{self.template}-{self.config_hash()}-s{self.seed}")
+        # the base name, so a template given as a path stays under out_dir
+        name = os.path.basename(self.template)
+        return os.path.join(self.out_dir, f"{name}-{self.config_hash()}-s{self.seed}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -260,7 +262,7 @@ class ExperimentRun:
         atomically. The stage is timed. A PruneKitError that ends the stage
         gets its message prefixed with "<stage> stage: ", and any failure is
         recorded in report.json before it propagates. Returns the artifact,
-        preceded by its width vector as a NetworkStructure if ``widths`` is set.
+        preceded by its width vector as a tuple if ``widths`` is set.
         """
         start = time.perf_counter()
         try:
@@ -293,7 +295,7 @@ class ExperimentRun:
                          error=f"{type(exc).__name__}: {exc}").save(self.path("report.json"))
             raise
         self.stage_seconds[stage] = time.perf_counter() - start
-        return saved if widths is None else (archspec.NetworkStructure(saved[widths]), saved)
+        return saved if widths is None else (tuple(saved[widths]), saved)
 
     def _fit(self, net, tag, epochs, trace, checkpoint) -> dict:
         """Train ``net`` with stage ``tag``'s seed, writing the CSV ``trace``

@@ -87,11 +87,11 @@ def inertia(t: int, config: SwarmConfig) -> float:
     return (config.w_ini - config.w_snd) * (T - t) / T + config.w_snd
 
 
-def evaluated_structure(position: np.ndarray, bounds) -> archspec.NetworkStructure:
+def evaluated_structure(position: np.ndarray, bounds) -> tuple[int, ...]:
     """Integer structure submitted for fitness: round half away, then clamp."""
     ints = round_half_away(np.asarray(position, dtype=np.float64))
     clamped = np.clip(ints, 1, np.asarray(bounds, dtype=np.int64))
-    return archspec.NetworkStructure(tuple(int(v) for v in clamped))
+    return tuple(int(v) for v in clamped)
 
 
 def init_population(coarse, bounds, config: SwarmConfig, rng=None) -> SwarmState:
@@ -161,7 +161,7 @@ def _score(state: SwarmState, t: int, bounds, evaluator, config: SwarmConfig) ->
         fitness = evaluator.evaluate(structure)
         improved = fitness > p.pbest_fitness
         if improved:
-            p.pbest = tuple(structure)
+            p.pbest = structure
             p.pbest_fitness = fitness
         records.append({"iteration": t, "particle": idx,
                         "structure": list(structure), "fitness": fitness,
@@ -203,7 +203,7 @@ def _state_to_dict(state: SwarmState) -> dict:
 
 @dataclass
 class SearchResult:
-    best: archspec.NetworkStructure
+    best: tuple
     best_fitness: float
     history: list = field(default_factory=list)  # (iteration, best fitness so far, mean fitness)
     trace: list = field(default_factory=list)    # per-evaluation records
@@ -238,8 +238,7 @@ def search(coarse, bounds, evaluator, config: SwarmConfig,
             write_text_atomic(state_path, json.dumps(_state_to_dict(state)))
     if log.count < len(log.lines):
         raise log.error(log.count, f"is past the end of this search's {log.count} evaluations")
-    return SearchResult(archspec.NetworkStructure(state.gbest),
-                        state.gbest_fitness, _history(log.records), log.records)
+    return SearchResult(state.gbest, state.gbest_fitness, _history(log.records), log.records)
 
 
 def _history(trace) -> list:
@@ -349,7 +348,8 @@ class ProxyFitnessEvaluator:
     ``config`` is the proxy training's TrainConfig. Deterministic: each
     training's seed is derived from ``config.seed`` and the structure itself,
     so a structure's fitness does not depend on when or how often it is
-    evaluated. Results are cached per structure.
+    evaluated. Results are cached per structure. A structure that fails
+    ``ArchTemplate.check_widths`` is an error, and nothing is trained.
     """
 
     def __init__(self, template, train_images, train_labels, test_images,
@@ -362,6 +362,7 @@ class ProxyFitnessEvaluator:
         self.cache: dict = {}
 
     def evaluate(self, structure) -> float:
+        self.template.check_widths(structure)
         key = tuple(int(v) for v in structure)
         if key in self.cache:
             return self.cache[key]

@@ -9,7 +9,6 @@ from prunekit.archspec import (
     ArchTemplate,
     FlopConvention,
     LayerDef,
-    NetworkStructure,
     assemble,
     compression_report,
     drop_percent,
@@ -30,15 +29,6 @@ def two_conv_template():
         LayerDef("classifier-head"),
     ]
     return assemble("twoconv", (3, 8, 8), 10, defs)
-
-
-class TestNetworkStructure:
-    def test_rejects_zero_channel(self):
-        with pytest.raises(BoundsError):
-            NetworkStructure((4, 0, 2))
-
-    def test_iterates_in_order(self):
-        assert list(NetworkStructure((3, 5, 7))) == [3, 5, 7]
 
 
 class TestAssemble:
@@ -100,8 +90,9 @@ class TestInstantiate:
 
     def test_over_bound_names_slot(self):
         t = two_conv_template()
-        with pytest.raises(BoundsError, match="slot 0"):
-            instantiate(t, (17, 32))
+        for structure in ((17, 32), (0, 32)):
+            with pytest.raises(BoundsError, match="slot 0"):
+                instantiate(t, structure)
 
     def test_wrong_length_rejected(self):
         t = two_conv_template()
@@ -211,7 +202,7 @@ class TestAccountingProperties:
     @given(tiny4_structures(), st.integers(0, 3))
     def test_counts_strictly_increase_per_channel(self, structure, slot):
         t = archspec.tiny4()
-        bounds = t.slot_bounds()
+        bounds = t.original_structure()
         if structure[slot] == bounds[slot]:
             structure = tuple(
                 v - 1 if i == slot and v > 1 else v for i, v in enumerate(structure))
@@ -249,6 +240,26 @@ class TestTemplateSerialization:
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(StructureError, match="vgg16-cifar"):
             get_template("resnet-9000")
+
+    @pytest.mark.parametrize("layer,key", [
+        ({"kind": "batchnorm", "kernel": 3}, "kernel"),
+        ({"kind": "pool", "kernel": 2, "stride": 2, "bias": False}, "bias"),
+        # MaxPool pads nothing, so a padded pool would size the head wrongly
+        ({"kind": "pool", "kernel": 3, "stride": 2, "padding": 1}, "padding"),
+    ])
+    def test_setting_the_kind_does_not_take_is_rejected(self, layer, key):
+        d = two_conv_template().to_config_dict()
+        d["layers"].insert(1, layer)
+        want = rf"^layer 1: a {layer['kind']} layer takes no {key} "
+        with pytest.raises(StructureError, match=want):
+            archspec.template_from_dict(d)
+
+    def test_builtin_hashes_are_pinned(self):
+        # the hash names every checkpoint's template; a change orphans them
+        assert archspec.tiny4(10).template_hash() == (
+            "0b6029803b53802922156082316e51c3554c7618aeb3cdd20f09f36dead3236b")
+        assert archspec.vgg16_cifar(10).template_hash() == (
+            "f0446fe913bd5ce952acc79fd07f244cbc937936730c297413bf49c8dc41864b")
 
     def test_hash_ignores_name(self):
         a = assemble("first", (1, 4, 4), 2,

@@ -114,6 +114,12 @@ class TestDbscan:
         with pytest.raises(StructureError, match="not symmetric"):
             dbscan(d, NeighborhoodParams(0.1, 3))
 
+    def test_nan_entry_is_named(self):
+        d = np.zeros((3, 3))
+        d[0, 1] = d[1, 0] = np.nan
+        with pytest.raises(StructureError, match="^distance matrix holds a non-finite entry$"):
+            dbscan(d, NeighborhoodParams(0.1, 1))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 9), st.integers(2, 12),
            st.floats(0.05, 0.95), st.integers(1, 4))
@@ -255,7 +261,7 @@ class TestCoarsePrune:
             sim = similarity(ChannelMeanMaps(report.slot, mean))
             out = dbscan(distance_matrix(sim), params)
             want = coarse_channel_count(out)
-            assert structure.channels[pos] == want
+            assert structure[pos] == want
             assert report.coarse_channels == want
             assert report.clusters == out.num_clusters
             assert report.noise == out.num_noise
@@ -286,8 +292,8 @@ class TestCoarsePrune:
         train_set, _ = blob_sets
         structure, _ = coarse_prune(
             template, net, train_set.images[:48], NeighborhoodParams(0.05, 3))
-        original = template.original_structure().channels
-        for pruned, orig in zip(structure.channels, original):
+        original = template.original_structure()
+        for pruned, orig in zip(structure, original):
             assert 1 <= pruned <= orig
 
     def test_reports_carry_slot_metadata(self, trained_tiny4, blob_sets):
@@ -296,7 +302,7 @@ class TestCoarsePrune:
         _, reports = coarse_prune(
             template, net, train_set.images[:32], NeighborhoodParams(0.05, 3))
         assert [r.slot for r in reports] == list(template.prunable_slots)
-        for report, width in zip(reports, template.original_structure().channels):
+        for report, width in zip(reports, template.original_structure()):
             assert report.original_channels == width
             d = report.to_dict()
             assert d["coarse_channels"] == report.coarse_channels
@@ -308,7 +314,7 @@ class TestCoarsePrune:
         train_set, _ = blob_sets
         structure, _ = coarse_prune(
             template, net, train_set.images[:48], NeighborhoodParams(1e-6, 2))
-        assert list(structure.channels) == list(template.original_structure().channels)
+        assert list(structure) == list(template.original_structure())
 
 
 # (clusters, noise) per slot of a template whose convs have 1, 2, 4 and 3
@@ -381,5 +387,5 @@ class TestCoarsePruneMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert len(structure.channels) == 12
+        assert len(structure) == 12
         assert peak < captured

@@ -71,6 +71,13 @@ class TestConfigIdentity:
         assert cfg.run_dir() == os.path.join(
             str(tmp_path), f"tiny4-{cfg.config_hash()}-s3")
 
+    @pytest.mark.parametrize("template", ["/elsewhere/tpl.yaml", "nested/dir/tpl.yaml"])
+    def test_template_path_run_dir_stays_under_out(self, tmp_path, template):
+        import dataclasses
+        cfg = dataclasses.replace(desk_experiment_config(tmp_path), template=template)
+        assert cfg.run_dir() == os.path.join(
+            str(tmp_path), f"tpl.yaml-{cfg.config_hash()}-s0")
+
     def test_validation_delegates_to_neighborhood(self, tmp_path):
         import dataclasses
         base = desk_experiment_config(tmp_path)
@@ -239,8 +246,8 @@ class TestDeskRun:
         report = desk_run_pair["report_a"]
         template = archspec.get_template(
             "tiny4", num_classes=desk_run_pair["config_a"].dataset.num_classes)
-        original = archspec.NetworkStructure(tuple(report.original_structure))
-        final = archspec.NetworkStructure(tuple(report.final_structure))
+        original = tuple(report.original_structure)
+        final = tuple(report.final_structure)
         assert report.baseline["params"] == archspec.param_count(template, original)
         assert report.final["params"] == archspec.param_count(template, final)
         assert report.baseline["flops"] == archspec.flops_count(template, original)

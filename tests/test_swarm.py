@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prunekit import swarm as swarm_module
-from prunekit.archspec import NetworkStructure, tiny4
+from prunekit.archspec import tiny4
 from prunekit.errors import BoundsError, PruneKitError, TrainingDiverged
 from prunekit.nncore import TrainConfig
 from prunekit.swarm import (
@@ -563,7 +563,7 @@ class TestProxyFitness:
     def test_deterministic_across_instances(self, blob_sets):
         train_set, test_set = blob_sets
         template = tiny4(num_classes=train_set.num_classes)
-        structure = NetworkStructure((4, 8, 8, 16))
+        structure = (4, 8, 8, 16)
         values = []
         for _ in range(2):
             ev = ProxyFitnessEvaluator(
@@ -574,7 +574,7 @@ class TestProxyFitness:
         assert values[0] == values[1]
 
     def test_cache_returns_identical_value(self, proxy_evaluator):
-        structure = NetworkStructure((4, 8, 8, 16))
+        structure = (4, 8, 8, 16)
         first = proxy_evaluator.evaluate(structure)
         second = proxy_evaluator.evaluate(structure)
         assert first == second
@@ -590,16 +590,24 @@ class TestProxyFitness:
                 test_set.images, test_set.labels,
                 TrainConfig(epochs=1, seed=derive_seed(0, "proxy")))
 
-        a, b = NetworkStructure((4, 8, 8, 16)), NetworkStructure((6, 12, 12, 24))
+        a, b = (4, 8, 8, 16), (6, 12, 12, 24)
         ev1, ev2 = fresh(), fresh()
         fit_a_first = ev1.evaluate(a)
         ev2.evaluate(b)
         fit_a_second = ev2.evaluate(a)
         assert fit_a_first == fit_a_second
 
+    def test_non_integer_width_trains_nothing(self, proxy_evaluator, monkeypatch):
+        trained, cached = [], dict(proxy_evaluator.cache)
+        monkeypatch.setattr(swarm_module.nncore, "train",
+                            lambda *args, **kwargs: trained.append(args))
+        with pytest.raises(BoundsError, match="of slot 0 "):
+            proxy_evaluator.evaluate((8.5, 16, 16, 32))
+        assert trained == [] and proxy_evaluator.cache == cached
+
     def test_beats_chance_floor(self, proxy_evaluator, blob_sets):
         train_set, _ = blob_sets
-        fitness = proxy_evaluator.evaluate(NetworkStructure((8, 16, 16, 32)))
+        fitness = proxy_evaluator.evaluate((8, 16, 16, 32))
         chance = 1.0 / train_set.num_classes
         assert fitness >= chance - 0.05
         assert 0.0 <= fitness <= 1.0
