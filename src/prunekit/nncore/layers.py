@@ -150,6 +150,38 @@ def by_channel(fn, arrays, *args):
                     for i, j in zip(edges, edges[1:])])
 
 
+def kaiming_normal(draws, dtype):
+    """Kaiming fan-in weights: for each ``(rng, shape)`` of ``draws``,
+    ``rng.normal(0, sqrt(2 / fan_in), shape)`` cast to ``dtype``, where
+    ``fan_in`` is the product of ``shape[1:]``. Returns them in order.
+
+    Each weight reads only its own generator, so its bits do not depend on
+    where it is drawn. When the draws number two or more and total at least
+    ``_SPLIT_ELEMENTS`` elements, they are dealt, largest first, each to the
+    least-loaded of one group per usable CPU, and ``_run_split`` draws the
+    groups; NumPy's ``Generator`` releases the GIL while it draws.
+    """
+    weights = [None] * len(draws)
+    sizes = [int(np.prod(shape)) for _, shape in draws]
+    pieces = min(_SPLIT_CPUS, len(draws))
+    if sum(sizes) < _SPLIT_ELEMENTS or pieces < 2:
+        _draw_normal(draws, weights, range(len(draws)), dtype)
+        return weights
+    groups, loads = [[] for _ in range(pieces)], [0] * pieces
+    for i in sorted(range(len(draws)), key=lambda i: -sizes[i]):
+        least = loads.index(min(loads))
+        groups[least].append(i)
+        loads[least] += sizes[i]
+    _run_split(_draw_normal, [(draws, weights, group, dtype) for group in groups])
+    return weights
+
+
+def _draw_normal(draws, weights, indices, dtype):
+    for i in indices:
+        rng, shape = draws[i]
+        weights[i] = rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), shape).astype(dtype)
+
+
 def _copy_into(dst, src):
     dst[...] = src
 
@@ -317,10 +349,14 @@ class Conv(Layer):
     # products in another order, which would change the desk run's values.
     BAND_BYTES = 1 << 23
 
-    def __init__(self, in_channels, out_channels, kernel, stride, padding, bias, rng, dtype):
-        kh, kw = kernel
-        fan_in = in_channels * kh * kw
-        self.weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), (out_channels, in_channels, kh, kw)).astype(dtype)
+    def __init__(self, in_channels, out_channels, kernel, stride, padding, bias, rng, dtype,
+                 weight=None):
+        """The weight is drawn from ``rng`` by ``kaiming_normal``, unless it
+        is given as ``weight``, already drawn so (as ``Network`` draws all
+        of its layers' at once)."""
+        if weight is None:
+            weight, = kaiming_normal([(rng, (out_channels, in_channels, *kernel))], dtype)
+        self.weight = weight
         self.bias = np.zeros(out_channels, dtype=dtype) if bias else None
         self.stride = stride
         self.padding = padding
@@ -612,8 +648,11 @@ def _pool_tiles(win, out, first):
 
 
 class Linear(Layer):
-    def __init__(self, in_features, out_features, bias, rng, dtype):
-        self.weight = rng.normal(0.0, np.sqrt(2.0 / in_features), (out_features, in_features)).astype(dtype)
+    def __init__(self, in_features, out_features, bias, rng, dtype, weight=None):
+        """The weight is drawn or given as ``Conv``'s is."""
+        if weight is None:
+            weight, = kaiming_normal([(rng, (out_features, in_features))], dtype)
+        self.weight = weight
         self.bias = np.zeros(out_features, dtype=dtype) if bias else None
 
     @staticmethod

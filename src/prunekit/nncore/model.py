@@ -47,7 +47,9 @@ class Network:
     """Runtime network for an instantiated template.
 
     Weight init is Kaiming fan-in scaling with a per-layer seeded stream, so a
-    (template, seed) pair always produces the same parameters.
+    (template, seed) pair always produces the same parameters. Every layer's
+    weight is drawn in one ``kaiming_normal`` call, which splits a large
+    net's draws across the usable CPUs.
     """
 
     def __init__(self, template: archspec.ArchTemplate, seed: int = 0, dtype=np.float32):
@@ -55,12 +57,21 @@ class Network:
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.layers: list[L.Layer] = []
+        shapes = {}
         for idx, spec in enumerate(template.layers):
-            rng = np.random.default_rng(derive_seed(self.seed, "init", idx))
+            if spec.kind == archspec.KIND_CONV:
+                shapes[idx] = (spec.out_channels, spec.in_channels, *spec.kernel)
+            elif spec.kind in (archspec.KIND_FC, archspec.KIND_HEAD):
+                shapes[idx] = (spec.out_channels, spec.in_channels)
+        drawn = L.kaiming_normal(
+            [(np.random.default_rng(derive_seed(self.seed, "init", idx)), shape)
+             for idx, shape in shapes.items()], self.dtype)
+        weights = dict(zip(shapes, drawn))
+        for idx, spec in enumerate(template.layers):
             if spec.kind == archspec.KIND_CONV:
                 self.layers.append(
-                    L.Conv(spec.in_channels, spec.out_channels, spec.kernel,
-                           spec.stride, spec.padding, spec.bias, rng, self.dtype)
+                    L.Conv(spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
+                           spec.padding, spec.bias, None, self.dtype, weight=weights[idx])
                 )
             elif spec.kind == archspec.KIND_BN:
                 self.layers.append(L.BatchNorm(spec.out_channels, self.dtype))
@@ -70,7 +81,8 @@ class Network:
                 self.layers.append(L.MaxPool(spec.kernel[0], spec.stride))
             elif spec.kind in (archspec.KIND_FC, archspec.KIND_HEAD):
                 self.layers.append(
-                    L.Linear(spec.in_channels, spec.out_channels, spec.bias, rng, self.dtype)
+                    L.Linear(spec.in_channels, spec.out_channels, spec.bias, None, self.dtype,
+                             weight=weights[idx])
                 )
             else:  # pragma: no cover
                 raise StructureError(f"layer {idx}: unsupported kind {spec.kind!r}")
@@ -183,7 +195,7 @@ class Network:
             src = arrays[name]
             if src.shape != arr.shape:
                 raise StructureError(f"{name}: shape {src.shape} != {arr.shape}")
-            arr[...] = src.astype(arr.dtype)
+            arr[...] = src
 
     def astype(self, dtype) -> "Network":
         self.dtype = np.dtype(dtype)

@@ -108,12 +108,19 @@ class ExperimentConfig:
         """Everything that affects results; excludes out_dir, seed and
         dump_similarity.
 
+        A template file is identified by what it holds, its template's
+        ``template_hash()``, so an edited file names a new experiment; a
+        built-in template is identified by its name. A path that names no
+        file stays as given, and the run stops on it.
+
         A swarm seed of None means "derived from the experiment seed" and so
         carries no identity of its own; an explicit swarm seed does.
         """
         d = asdict(self)
         for name in ("out_dir", "seed", "dump_similarity"):
             del d[name]
+        if self.template not in archspec.BUILTIN_TEMPLATES and os.path.isfile(self.template):
+            d["template"] = archspec.load_template(self.template).template_hash()
         if d["swarm"]["seed"] is None:
             del d["swarm"]["seed"]
         return d

@@ -67,8 +67,13 @@ class RunReport:
             raise PruneKitError(f"{path} is not a run report: {exc}") from exc
 
 
-def _millions(count) -> str:
-    return f"{count / 1e6:.2f}M"
+def _count(count) -> str:
+    """A parameter or FLOP count in millions or thousands with two decimals,
+    whichever it reaches, else whole."""
+    for scale, unit in ((1e6, "M"), (1e3, "K")):
+        if count >= scale:
+            return f"{count / scale:.2f}{unit}"
+    return str(count)
 
 
 def _pct(value) -> str:
@@ -85,9 +90,9 @@ def render_table(report: RunReport) -> str:
         report.template_name,
         f"{100.0 * base_acc:.2f}" if base_acc is not None else "-",
         "-",
-        _millions(report.baseline["params"]) if "params" in report.baseline else "-",
+        _count(report.baseline["params"]) if "params" in report.baseline else "-",
         "-",
-        _millions(report.baseline["flops"]) if "flops" in report.baseline else "-",
+        _count(report.baseline["flops"]) if "flops" in report.baseline else "-",
         "-",
     ])
     if fin_acc is not None and base_acc is not None:
@@ -99,9 +104,9 @@ def render_table(report: RunReport) -> str:
         f"{report.epsilon:.3f}, {report.min_pts}",
         f"{100.0 * fin_acc:.2f}" if fin_acc is not None else "-",
         acc_drop,
-        _millions(report.final["params"]) if "params" in report.final else "-",
+        _count(report.final["params"]) if "params" in report.final else "-",
         _pct(report.final["param_drop_percent"]) if "param_drop_percent" in report.final else "-",
-        _millions(report.final["flops"]) if "flops" in report.final else "-",
+        _count(report.final["flops"]) if "flops" in report.final else "-",
         _pct(report.final["flop_drop_percent"]) if "flop_drop_percent" in report.final else "-",
     ])
     widths = [max(len(r[i]) for r in rows) for i in range(len(TABLE_COLUMNS))]

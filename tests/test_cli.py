@@ -234,3 +234,38 @@ def test_flags_override_the_config_file(tmp_path):
     assert cfg.sample_count == 16 and cfg.trainer.batch_size == 16
     bare = cli._config_from_args(cli.build_parser().parse_args(["run", "--config", config]))
     assert (bare.swarm.particles, bare.dump_similarity, bare.out_dir) == (2, False, "runs")
+
+
+# SMALL_RUN's net as a template file: tiny4's blocks at widths 8 and 16
+SMALL_TEMPLATE = """\
+input_shape: [3, 16, 16]
+num_classes: 2
+layers:
+  - {kind: conv, out_channels: 8, kernel: 3, padding: 1}
+  - {kind: batchnorm}
+  - {kind: activation}
+  - {kind: pool, kernel: 2, stride: 2}
+  - {kind: conv, out_channels: 16, kernel: 3, padding: 1}
+  - {kind: batchnorm}
+  - {kind: activation}
+  - {kind: pool, kernel: 2, stride: 2}
+  - {kind: classifier-head}
+"""
+
+
+def test_template_file_edited_in_place_starts_a_new_run_directory(tmp_path, capsys):
+    """The config hash takes the template file's contents, so a rerun after
+    an edit trains a new baseline in a new directory instead of stopping on
+    the old directory's checkpoint."""
+    template = tmp_path / "small.yaml"
+    template.write_text(SMALL_TEMPLATE)
+    config = write_config(tmp_path, SMALL_RUN.replace("tiny4", str(template)))
+    out = tmp_path / "runs"
+    assert cli.main(["train-baseline", "--config", config, "--out", str(out)]) == 0
+    first = os.listdir(out)
+    template.write_text(SMALL_TEMPLATE.replace("out_channels: 16", "out_channels: 12"))
+    assert cli.main(["train-baseline", "--config", config, "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    assert len(first) == 1 and first[0].startswith("small.yaml-")
+    second = sorted(set(os.listdir(out)) - set(first))
+    assert len(second) == 1 and second[0].startswith("small.yaml-")

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import multiprocessing
 import os
@@ -59,6 +60,19 @@ def separable_toy_set(n=200, seed=0):
     images += offsets[:, None, None, None]
     images += 0.3 * rng.normal(size=images.shape).astype(np.float32)
     return images, labels
+
+
+def fc_template():
+    """A conv block, then an fc layer of 2048x512 weights: the two reach
+    the split cutoff without the head."""
+    return assemble("fc", (3, 16, 16), 10, [
+        LayerDef("conv", out_channels=32, kernel=3, padding=1),
+        LayerDef("activation"),
+        LayerDef("pool", kernel=2, stride=2),
+        LayerDef("fc", out_channels=512),
+        LayerDef("activation"),
+        LayerDef("classifier-head"),
+    ])
 
 
 def toy_template():
@@ -926,6 +940,73 @@ class TestDeterministicInit:
         assert any(not np.array_equal(x, y)
                    for x, y in zip(a.params().values(), b.params().values()))
 
+    def test_vgg16_init_is_pinned(self):
+        """The sha256 of each state array's name and bytes, in order, as the
+        weights were drawn one layer after another on one thread."""
+        digest = hashlib.sha256()
+        for name, arr in Network(archspec.vgg16_cifar(10), seed=0).state_arrays().items():
+            digest.update(name.encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "c0ee2349c063c9c0741dfe4a818028545353967e7fcfa605b1dffe24ac564377")
+
+    def test_a_layer_built_alone_draws_the_networks_weight(self):
+        t = fc_template()
+        net = Network(t, seed=4)
+        for idx, spec in enumerate(t.layers):
+            rng = np.random.default_rng(derive_seed(4, "init", idx))
+            if spec.kind == archspec.KIND_CONV:
+                alone = Conv(spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
+                             spec.padding, spec.bias, rng, np.float32)
+            elif spec.kind in (archspec.KIND_FC, archspec.KIND_HEAD):
+                alone = Linear(spec.in_channels, spec.out_channels, spec.bias, rng, np.float32)
+            else:
+                continue
+            assert np.array_equal(alone.weight, net.layers[idx].weight)
+
+    @pytest.mark.parametrize("template", [
+        archspec.vgg16_cifar(10), archspec.tiny4(), fc_template()], ids=lambda t: t.name)
+    def test_split_draws_give_the_serial_bits(self, template, gemm_split):
+        """A net whose weights total at least the cutoff draws them on the
+        split pool, one group per CPU; tiny4 draws on the calling thread."""
+        pool, use = gemm_split
+        splits = template.name != "tiny4"  # tiny4's weights total about 8k
+        states = []
+        for cpus in (1, 2, 3):
+            use(cpus)
+            calls = len(pool.runs)
+            states.append(Network(template, seed=5).state_arrays())
+            drawn = pool.runs[calls:]
+            assert drawn == ([layers._draw_normal] * (cpus - 1) if splits else [])
+        for state in states[1:]:
+            assert list(state) == list(states[0])
+            assert all(np.array_equal(state[k], states[0][k]) for k in state)
+
+
+class TestLoadState:
+    def test_float64_state_loads_to_the_cast_bits(self):
+        net = Network(toy_template(), seed=0)
+        rng = np.random.default_rng(3)
+        state = {k: rng.normal(size=v.shape) for k, v in net.state_arrays().items()}
+        net.load_state(state)
+        for name, arr in net.state_arrays().items():
+            assert arr.dtype == np.float32
+            assert np.array_equal(arr.view(np.uint32),
+                                  state[name].astype(np.float32).view(np.uint32))
+
+    def test_loads_without_a_copy_of_each_array(self):
+        net = split_net()
+        state = {k: v + 1 for k, v in net.state_arrays().items()}
+        largest = max(v.nbytes for v in state.values())
+        tracemalloc.start()
+        try:
+            net.load_state(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < largest // 2
+        assert all(np.array_equal(v, state[k]) for k, v in net.state_arrays().items())
+
 
 def conv_shapes(template):
     """(in_channels, out_channels, side) of each distinct conv of a template
@@ -1086,9 +1167,10 @@ class TestSplitGemm:
         assert threads == {threading.main_thread()}
 
     def test_desk_training_starts_no_pool(self):
-        """tiny4 at the desk's batch sizes, on a runner forced to look like
-        a two-CPU machine with one BLAS thread: no product reaches the
-        cutoff, so no pool is made and nothing new is imported."""
+        """tiny4 built and trained at the desk's batch sizes, on a runner
+        forced to look like a two-CPU machine with one BLAS thread: its
+        weights total less than the draw cutoff and no product reaches the
+        GEMM cutoff, so no pool is made and nothing new is imported."""
         script = textwrap.dedent("""
             import sys
             from prunekit import archspec, data
@@ -1097,6 +1179,7 @@ class TestSplitGemm:
             train_set, test_set = data.make_blobs(data.SyntheticSpec(
                 num_classes=4, train_size=256, test_size=256, image_size=16, seed=0))
             net = Network(archspec.tiny4(num_classes=4), seed=0)
+            assert layers._POOL is None
             train(net, train_set.images, train_set.labels, test_set.images,
                   test_set.labels, TrainConfig(epochs=1, batch_size=128, seed=0))
             assert layers._POOL is None

@@ -5,6 +5,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+import yaml
 
 from conftest import desk_experiment_config
 from test_data import write_fake_cifar
@@ -77,6 +78,20 @@ class TestConfigIdentity:
         cfg = dataclasses.replace(desk_experiment_config(tmp_path), template=template)
         assert cfg.run_dir() == os.path.join(
             str(tmp_path), f"tpl.yaml-{cfg.config_hash()}-s0")
+
+    def test_template_file_is_identified_by_its_contents(self, tmp_path):
+        import dataclasses
+        base = desk_experiment_config(tmp_path)
+        text = yaml.safe_dump(archspec.tiny4(num_classes=4).to_config_dict())
+        (tmp_path / "b").mkdir()
+        for path in (tmp_path / "t.yaml", tmp_path / "b" / "t.yaml"):
+            path.write_text(text)
+        a, b = (dataclasses.replace(base, template=str(path))
+                for path in (tmp_path / "t.yaml", tmp_path / "b" / "t.yaml"))
+        assert a.config_hash() == b.config_hash()
+        assert a.identity_dict()["template"] == archspec.tiny4(num_classes=4).template_hash()
+        (tmp_path / "t.yaml").write_text(text.replace("out_channels: 32", "out_channels: 24"))
+        assert a.config_hash() != b.config_hash()
 
     def test_validation_delegates_to_neighborhood(self, tmp_path):
         import dataclasses
@@ -629,6 +644,18 @@ class TestRenderTable:
         table = render_table(report)
         pruned = table.splitlines()[3]
         assert pruned.count("-") >= 4
+
+    @pytest.mark.parametrize("params, cell", [
+        (14730000, "14.73M"), (1000000, "1.00M"), (8626, "8.63K"), (4080, "4.08K"),
+        (1000, "1.00K"), (999, "999"), (0, "0")])
+    def test_counts_take_the_unit_they_reach(self, params, cell):
+        """A net under 5000 parameters does not read 0.00M."""
+        report = self.make_report()
+        report.baseline = dict(report.baseline, params=params)
+        report.final = dict(report.final, params=params)
+        base, pruned = render_table(report).splitlines()[2:]
+        assert base.split()[4] == cell
+        assert pruned.split()[4] == cell  # "0.050, 3" is two words
 
     def test_negative_accuracy_drop_keeps_sign(self):
         report = self.make_report()
