@@ -351,9 +351,9 @@ class Conv(Layer):
 
     def __init__(self, in_channels, out_channels, kernel, stride, padding, bias, rng, dtype,
                  weight=None):
-        """The weight is drawn from ``rng`` by ``kaiming_normal``, unless it
-        is given as ``weight``, already drawn so (as ``Network`` draws all
-        of its layers' at once)."""
+        """The weight is drawn from ``rng`` by ``kaiming_normal``, or given
+        as ``weight`` when it was drawn so already: ``Network`` draws every
+        layer's weight in one call."""
         if weight is None:
             weight, = kaiming_normal([(rng, (out_channels, in_channels, *kernel))], dtype)
         self.weight = weight
