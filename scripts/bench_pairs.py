@@ -34,14 +34,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def benchmark() -> dict:
+    with open(ROOT / "BENCHMARK.json") as fh:
+        return json.load(fh)
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent revision")
     parser.add_argument("--head", required=True, help="the revision under test")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="an inclusive range A-B, one pair per seed")
-    parser.add_argument("--seconds", type=float, default=45.0,
-                        help="run length of each run (the benchmark's is 45)")
+    parser.add_argument("--seconds", type=float, default=benchmark()["run_seconds"],
+                        help="run length of each run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--label", help="names the output file (default: workload and revisions)")
     return parser.parse_args(argv)
 
@@ -161,8 +166,7 @@ def main(argv=None) -> int:
     revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for side, rev in (("base", args.base), ("head", args.head))}
     label = args.label or f"{args.workload}_{revs['base'][:7]}_{revs['head'][:7]}"
-    with open(ROOT / "BENCHMARK.json") as fh:
-        declared = json.load(fh)["end_to_end"]
+    declared = benchmark()["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         try:
             pairs = run_pairs(revs, args.workload, seeds, args.seconds, Path(tmp),

@@ -1,5 +1,5 @@
-"""Crash a small pipeline run at each of its write points in turn, resume
-it, and check that it leaves the files an uninterrupted run makes.
+"""Crash a small pipeline run at each of its write points in turn, run it
+again, and check that it leaves the files an uninterrupted run makes.
 
 Usage:
 
@@ -13,7 +13,7 @@ write (``util._atomic_write``) and every record appended to
 With ``--kill`` a child process runs the pipeline and kills itself with
 SIGKILL at the n-th ``os.fsync``, which only ``util._atomic_write`` calls:
 the temp file is written and not yet renamed. Either way the crashed run
-directory is then resumed with ``pipeline.run(resume=True)`` and must hold
+directory is then run again with a plain ``pipeline.run`` and must hold
 the uninterrupted run's files byte for byte (``report.json`` compared by
 its ``comparable_dict()``), and no ``*.tmp`` file. Prints one line per
 point and exits 1 if any point differs.
@@ -131,7 +131,7 @@ def sweep(root, kill=False, log=print) -> tuple[int, list[str]]:
         config = small_config(Path(root, f"crash{point:03d}"))
         problem = crash(config.out_dir, point, kill)
         if problem is None:
-            pipeline.run(config, resume=True)
+            pipeline.run(config)
             got = run_files(config.run_dir())
             litter = [name for name in got if name.endswith(".tmp")]
             differ = [name for name in sorted(set(want) | set(got))

@@ -2,9 +2,8 @@
 
 Each subcommand runs the pipeline through one stage; ``run`` executes all
 five, and ``report`` only renders the report of a finished run. Completed
-stages found in the run directory are reused when --resume is given (the
-baseline checkpoint is reused regardless, since it dominates cost and is
-pinned by the config hash in the directory name).
+stages found in the run directory are reused, and an interrupted search
+replays its trace (see ``pipeline``).
 """
 from __future__ import annotations
 
@@ -49,8 +48,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="YAML experiment config")
     for flag, (_, options) in _OVERRIDES.items():
         sub.add_argument(flag, **options)
-    sub.add_argument("--resume", action="store_true",
-                     help="reuse completed stages and replay an interrupted search's trace")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,8 +90,7 @@ def main(argv=None) -> int:
                     f"create it with `prunekit run` and the same config and flags")
             print(render_table(RunReport.load(report_path)))
             return 0
-        result = pipeline.run(config, resume=args.resume,
-                              through=_COMMANDS[args.command][0])
+        result = pipeline.run(config, through=_COMMANDS[args.command][0])
         if isinstance(result, RunReport):
             print(render_table(result))
         else:

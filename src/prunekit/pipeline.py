@@ -9,11 +9,11 @@ by a hash of the experiment configuration plus the seed:
     4. retrain    final structure from scratch               final.ckpt
     5. report     JSON + table                               report.json / report.txt
 
-A finished baseline is always reused on rerun since it dominates cost.
-With ``resume=True`` every other completed stage is reused as well, and an
-interrupted search replays the whole lines of its trace; because each stage
-is deterministic given the config and seed, a resumed run ends in the same
-report as an uninterrupted one. One run at a time holds a run directory.
+Every run reuses each stage whose artifact is there (a torn one is an error
+naming it; delete it to recompute), and an interrupted search replays its
+trace. Each stage is deterministic given the config and seed, so a rerun
+ends in the uninterrupted run's files; the report, which may hold a failure
+record, is always rewritten. One run at a time holds a run directory.
 
 All stage seeds are derived from the single experiment seed, so one integer
 pins the entire run.
@@ -47,6 +47,16 @@ class DatasetConfig:
     image_size: int = 16
     channels: int = 3
     noise: float = 0.15
+
+    def __post_init__(self):
+        # every key is hashed, so one the named dataset does not read stays at its default
+        unused = {"cifar10": ("train_size", "test_size", "image_size", "channels", "noise"),
+                  "synthetic": ("path",)}.get(self.name, ())
+        for f in fields(self):
+            if f.name in unused and getattr(self, f.name) != f.default:
+                raise PruneKitError(
+                    f"config key dataset.{f.name} is not used by dataset {self.name} "
+                    f"(got {getattr(self, f.name)!r}); remove it")
 
     def synthetic_spec(self, seed: int) -> data.SyntheticSpec:
         return data.SyntheticSpec(
@@ -257,7 +267,7 @@ class ExperimentRun:
             config_hash=self.config.config_hash(), seed=self.config.seed,
             **fields)
 
-    def _stage(self, stage, artifact, compute, reuse, checkpoint=None, net=None,
+    def _stage(self, stage, artifact, compute, reuse=True, checkpoint=None, net=None,
                widths=None, keys=()):
         """Run one stage: reuse its checked artifact, or compute it and write it.
 
@@ -265,17 +275,19 @@ class ExperimentRun:
         for a stage that writes one) is read back, ``net`` gets the
         checkpoint's weights, the width vector under the key ``widths`` must
         pass ``ArchTemplate.check_widths``, and every key in ``keys`` must be
-        present. Otherwise the dict ``compute()`` returns is written
+        present; a reused file that fails a check is named, with the advice
+        to delete it. Otherwise the dict ``compute()`` returns is written
         atomically. The stage is timed. A PruneKitError that ends the stage
         gets its message prefixed with "<stage> stage: ", and any failure is
         recorded in report.json before it propagates. Returns the artifact,
         preceded by its width vector as a tuple if ``widths`` is set.
         """
         start = time.perf_counter()
+        path = self.path(artifact)
+        ckpt = self.path(checkpoint) if checkpoint else None
+        reused = reuse and os.path.exists(path) and (ckpt is None or os.path.exists(ckpt))
         try:
-            path = self.path(artifact)
-            ckpt = self.path(checkpoint) if checkpoint else None
-            if reuse and os.path.exists(path) and (ckpt is None or os.path.exists(ckpt)):
+            if reused:
                 where = f"reused {path}"
                 try:
                     with open(path) as fh:
@@ -291,13 +303,18 @@ class ExperimentRun:
                     if not isinstance(saved, dict) or key not in saved:
                         raise PruneKitError(f"{where} has no {key!r} field")
                 if net is not None:
-                    load_model(ckpt, net)
+                    try:
+                        load_model(ckpt, net)
+                    except PruneKitError as exc:
+                        exc.args = (f"reused {ckpt}: {exc}",)
+                        raise
             else:
                 saved = compute()
                 write_text_atomic(path, json.dumps(saved, indent=2) + "\n")
         except Exception as exc:
             if isinstance(exc, PruneKitError):
-                exc.args = (f"{stage} stage: {exc}",)
+                advice = "; delete it to recompute" if reused else ""
+                exc.args = (f"{stage} stage: {exc}{advice}",)
             self._report(coarse_structure=[], final_structure=[], failed_stage=stage,
                          error=f"{type(exc).__name__}: {exc}").save(self.path("report.json"))
             raise
@@ -329,21 +346,25 @@ class ExperimentRun:
             epochs = self.config.baseline_epochs
             return {**self._fit(net, "baseline", epochs, "baseline_trace.csv", "baseline.ckpt"),
                     "epochs": epochs, "weight_init": "kaiming-fan-in"}
-        meta = self._stage("baseline", "baseline.json", compute, reuse=True,
+        meta = self._stage("baseline", "baseline.json", compute,
                            checkpoint="baseline.ckpt", net=net,
                            keys=("accuracy", "params", "flops", "epochs"))
         return net, meta
 
     # -- stage 2 ------------------------------------------------------------
-    def stage_coarse(self, net, resume=False):
+    def stage_coarse(self, net):
+        """The coarse width vector; with ``dump_similarity`` set, coarse.json
+        is reused only once every CSV is there (recomputing it, it is the same)."""
+        slots = self.template.prunable_slots if self.config.dump_similarity else ()
+        csvs = {slot: self.path(f"similarity_slot{slot:02d}.csv") for slot in slots}
+
         def compute():
             samples = data.sample_images(self.train_set, self.config.sample_count,
                                          derive_seed(self.config.seed, "sample"))
             sink = None
-            if self.config.dump_similarity:
+            if csvs:
                 def sink(slot, sim):
-                    featstats.dump_similarity_csv(
-                        self.path(f"similarity_slot{slot:02d}.csv"), sim)
+                    featstats.dump_similarity_csv(csvs[slot], sim)
             structure, reports = cluster.coarse_prune(
                 self.template, net, samples, self.config.neighborhood(),
                 similarity_sink=sink)
@@ -355,10 +376,11 @@ class ExperimentRun:
                 "sample_count": self.config.sample_count,
                 "layers": [r.to_dict() for r in reports],
             }
-        return self._stage("coarse", "coarse.json", compute, resume, widths="structure")
+        return self._stage("coarse", "coarse.json", compute,
+                           reuse=all(map(os.path.exists, csvs.values())), widths="structure")
 
     # -- stage 3 ------------------------------------------------------------
-    def stage_search(self, coarse_structure, resume=False):
+    def stage_search(self, coarse_structure):
         def compute():
             swarm_cfg = self.config.swarm
             if swarm_cfg.seed is None:
@@ -372,17 +394,17 @@ class ExperimentRun:
             result = swarm.search(
                 coarse_structure, self.template.original_structure(), evaluator,
                 swarm_cfg, state_path=self.path("swarm_state.json"),
-                trace_path=self.path("swarm_trace.jsonl"), resume=resume)
+                trace_path=self.path("swarm_trace.jsonl"))
             return {
                 "best": list(result.best),
                 "best_fitness": result.best_fitness,
                 "history": [list(h) for h in result.history],
                 "evaluations": result.evaluations,
             }
-        return self._stage("search", "search.json", compute, resume, widths="best")
+        return self._stage("search", "search.json", compute, widths="best")
 
     # -- stage 4 ------------------------------------------------------------
-    def stage_retrain(self, final_structure, resume=False):
+    def stage_retrain(self, final_structure):
         def compute():
             pruned = archspec.instantiate(self.template, final_structure)
             epochs = retrain_epochs(self.config.baseline_epochs,
@@ -392,7 +414,7 @@ class ExperimentRun:
             return {"structure": list(final_structure),
                     **self._fit(net, "retrain", epochs, "final_trace.csv", "final.ckpt"),
                     "retrain_epochs": epochs}
-        return self._stage("retrain", "retrain.json", compute, resume,
+        return self._stage("retrain", "retrain.json", compute,
                            checkpoint="final.ckpt", widths="structure",
                            keys=("accuracy", "params", "flops", "retrain_epochs"))
 
@@ -417,8 +439,7 @@ class ExperimentRun:
         return RunReport.from_dict(self._stage("report", "report.json", compute, reuse=False))
 
 
-def run(config: ExperimentConfig, resume: bool = False,
-        through: str = "report") -> RunReport | dict:
+def run(config: ExperimentConfig, through: str = "report") -> RunReport | dict:
     """Execute stages in order up to ``through`` (default: the full pipeline).
 
     Returns the RunReport when the report stage runs, else the last stage's
@@ -444,13 +465,13 @@ def run(config: ExperimentConfig, resume: bool = False,
         net, baseline_meta = runner.stage_baseline()
         if last == 0:
             return baseline_meta
-        coarse_structure, coarse_saved = runner.stage_coarse(net, resume=resume)
+        coarse_structure, coarse_saved = runner.stage_coarse(net)
         if last == 1:
             return coarse_saved
-        best, search_saved = runner.stage_search(coarse_structure, resume=resume)
+        best, search_saved = runner.stage_search(coarse_structure)
         if last == 2:
             return search_saved
-        final_structure, retrain_saved = runner.stage_retrain(best, resume=resume)
+        final_structure, retrain_saved = runner.stage_retrain(best)
         if last == 3:
             return retrain_saved
         return runner.stage_report(baseline_meta, coarse_structure, final_structure,

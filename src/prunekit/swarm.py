@@ -215,22 +215,20 @@ class SearchResult:
 
 
 def search(coarse, bounds, evaluator, config: SwarmConfig,
-           state_path=None, trace_path=None, resume=False) -> SearchResult:
+           state_path=None, trace_path=None) -> SearchResult:
     """Full swarm search refining ``coarse`` within [1, bounds] per layer.
 
     ``trace_path`` collects one JSON line per fitness evaluation. With
     ``state_path`` the complete swarm state (including the RNG) is written
     after every iteration, 0 included, for inspection only.
-    The seed fixes every random draw, so the trace is a redo log:
-    ``resume=True`` reruns the search from iteration 0 on the whole lines of
-    the old trace (see ``_TraceLog``), so a resumed run reproduces the
-    uninterrupted one exactly. An old line that does not match, or is still
-    unused at the end, is an error naming the file and the line. Without
-    ``resume`` the trace starts empty. The result's trace and history cover
-    the whole run, resumed or not.
+    The seed fixes every random draw, so the trace is a redo log: the search
+    reruns from iteration 0 on the file's old lines (see ``_TraceLog``), and
+    an interrupted search, run again, ends as the uninterrupted one. An old
+    line that does not match, or is still unused at the end, is an error
+    naming the file and the line. The result covers the whole run.
     """
     bounds_arr = np.asarray(tuple(bounds), dtype=np.int64)
-    log = _TraceLog(trace_path, resume, evaluator, config.particles)
+    log = _TraceLog(trace_path, evaluator, config.particles)
     state = init_population(coarse, bounds_arr, config)
     for t in range(config.iterations + 1):
         log.extend(_score(state, t, bounds_arr, log, config))
@@ -273,8 +271,8 @@ def _whole_lines(trace_path) -> list:
 class _TraceLog:
     """One search's trace file and records, and the only wrapper around its
     evaluator; the k-th evaluation is particle k % particles of iteration
-    k // particles. A resumed search's whole old lines are kept and the file
-    is cut after them. ``evaluate`` answers the k-th evaluation with the
+    k // particles. The file's whole old lines are kept and the file is cut
+    after them. ``evaluate`` answers the k-th evaluation with the
     k-th old line's fitness once that line's iteration, particle and
     structure are the search's there. Once the old lines are used up it
     answers a structure they scored with that fitness, which is a pure
@@ -285,9 +283,9 @@ class _TraceLog:
     and the rest are appended to the file.
     """
 
-    def __init__(self, trace_path, resume, evaluator, particles):
+    def __init__(self, trace_path, evaluator, particles):
         self.path = trace_path
-        self.lines = _whole_lines(trace_path) if resume else []
+        self.lines = _whole_lines(trace_path)
         if trace_path is not None and os.path.exists(trace_path):
             os.truncate(trace_path, sum(len(line) for _, line in self.lines))
         self.evaluator = evaluator
@@ -297,7 +295,7 @@ class _TraceLog:
         self.records = []
 
     def error(self, k, problem):
-        return PruneKitError(f"resumed {self.path} line {k + 1} {problem}")
+        return PruneKitError(f"resumed {self.path} line {k + 1} {problem}; delete it to recompute")
 
     def evaluate(self, structure) -> float:
         k, key = self.count, tuple(structure)

@@ -120,6 +120,16 @@ class TestRunPairs:
         assert [args[0] for args, _ in commands] == ["worktree", "checkout", "worktree"] * 3
 
 
+class TestParseArgs:
+    REQUIRED = ["--base", "a", "--head", "b", "--workload", "desk", "--seeds", "1-2"]
+
+    def test_seconds_default_is_the_benchmarks_run_seconds(self, tmp_path, monkeypatch):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}))
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        assert bench_pairs.parse_args(self.REQUIRED).seconds == 7
+        assert bench_pairs.parse_args(self.REQUIRED + ["--seconds", "3"]).seconds == 3
+
+
 def write_bench(root, label, seeds, base_rss, head_rss):
     pairs = pairs_of("peak_rss_mb", list(zip(base_rss, head_rss)))
     declared = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.2}]

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from prunekit import cli, pipeline
+from prunekit import archspec, cli, pipeline, util
 from prunekit.errors import PruneKitError
 
 # a whole run in about a second: tiny data, one epoch, two particles
@@ -80,10 +80,10 @@ def test_torn_coarse_json_on_resume_exits_2(tmp_path, capsys):
     with open(coarse, "r+") as fh:
         fh.truncate(len(fh.read()) // 2)
     capsys.readouterr()
-    assert cli.main(["coarse", "--config", config, "--out", out, "--resume"]) == 2
+    assert cli.main(["coarse", "--config", config, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: coarse stage: reused ")
-    assert coarse in err
+    assert coarse in err and err.endswith("; delete it to recompute\n")
 
 
 def test_diverging_baseline_names_the_stage(tmp_path, capsys):
@@ -120,7 +120,7 @@ def search_then_resume(tmp_path, capsys, change):
     change(run_dir)
     os.remove(os.path.join(run_dir, "search.json"))
     capsys.readouterr()
-    return run_dir, searched, cli.main(["search", "--config", config, "--out", out, "--resume"])
+    return run_dir, searched, cli.main(["search", "--config", config, "--out", out])
 
 
 def test_torn_swarm_state_does_not_stop_resume(tmp_path, capsys):
@@ -145,8 +145,10 @@ def test_doubled_trace_line_on_resume_exits_2(tmp_path, capsys):
     run_dir, _, code = search_then_resume(tmp_path, capsys, double_first_line)
     assert code == 2
     trace = os.path.join(run_dir, "swarm_trace.jsonl")
-    assert capsys.readouterr().err.startswith(
+    err = capsys.readouterr().err
+    assert err.startswith(
         f"error: search stage: resumed {trace} line 2 does not match this search's ")
+    assert err.endswith("; delete it to recompute\n")
     assert not os.path.exists(os.path.join(run_dir, "search.json"))
 
 
@@ -171,6 +173,59 @@ def test_damaged_trace_line_on_resume_exits_2(tmp_path, capsys, damage, bad_line
         f"error: search stage: resumed {trace} line {bad_line} does not match this search's ")
     with open(trace) as fh:
         assert fh.read() == damaged[0]
+
+
+def test_stage_commands_in_sequence_reuse_each_earlier_stage(tmp_path, monkeypatch):
+    # each command writes only its own stage's files
+    out = str(tmp_path / "runs")
+    config = write_config(tmp_path, SMALL_RUN)
+    written = []
+    atomic_write = util._atomic_write
+
+    def spy(path, data):
+        written.append(os.path.basename(path))
+        atomic_write(path, data)
+    monkeypatch.setattr(util, "_atomic_write", spy)
+    for command, files in (("train-baseline", {"baseline.ckpt", "baseline.json"}),
+                           ("coarse", {"coarse.json"}),
+                           ("search", {"swarm_state.json", "search.json"}),
+                           ("retrain", {"final.ckpt", "retrain.json"}),
+                           ("run", {"report.json", "report.txt"})):
+        written.clear()
+        assert cli.main([command, "--config", config, "--out", out]) == 0
+        assert set(written) == files, command
+
+
+def test_dump_similarity_on_a_finished_run_writes_its_csvs(tmp_path, monkeypatch):
+    """--dump-similarity is not hashed, so a finished run's coarse.json is
+    reused only once every CSV it asks for is there; until then the stage is
+    recomputed, to the same coarse.json."""
+    out = str(tmp_path / "runs")
+    config = write_config(tmp_path, SMALL_RUN)
+    assert cli.main(["run", "--config", config, "--out", out]) == 0
+    (run_dir,) = os.listdir(out)
+    run_dir = os.path.join(out, run_dir)
+    with open(os.path.join(run_dir, "coarse.json"), "rb") as fh:
+        coarse = fh.read()
+    csvs = [f"similarity_slot{slot:02d}.csv" for slot in archspec.tiny4(num_classes=2).prunable_slots]
+    calls = []
+    coarse_prune = pipeline.cluster.coarse_prune
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return coarse_prune(*args, **kwargs)
+    monkeypatch.setattr(pipeline.cluster, "coarse_prune", spy)
+    for missing, recomputed in ((csvs, 1), ([], 0), (csvs[1:2], 1)):
+        for name in missing:
+            if os.path.exists(os.path.join(run_dir, name)):
+                os.remove(os.path.join(run_dir, name))
+        calls.clear()
+        assert cli.main(["coarse", "--config", config, "--out", out, "--dump-similarity"]) == 0
+        assert len(calls) == recomputed, missing
+        assert sorted(n for n in os.listdir(run_dir) if n.endswith(".csv")) == \
+            sorted(csvs + ["baseline_trace.csv", "final_trace.csv"])
+        with open(os.path.join(run_dir, "coarse.json"), "rb") as fh:
+            assert fh.read() == coarse
 
 
 def test_run_directory_held_by_another_run_exits_2(tmp_path, capsys):

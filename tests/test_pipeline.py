@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -209,6 +210,32 @@ trainer:
         with pytest.raises(PruneKitError, match=rf"\b{key} must be a"):
             pipeline.config_from_dict(raw)
 
+    @pytest.mark.parametrize("dataset,key", [
+        ({"name": "cifar10", "train_size": 100}, "train_size"),
+        ({"name": "cifar10", "test_size": 100}, "test_size"),
+        ({"name": "cifar10", "image_size": 32}, "image_size"),
+        ({"name": "cifar10", "channels": 1}, "channels"),
+        ({"name": "cifar10", "noise": 0.2}, "noise"),
+        ({"name": "synthetic", "path": "/data"}, "path"),
+        ({"path": "/data"}, "path"),
+    ])
+    def test_dataset_key_the_dataset_does_not_read_is_rejected(self, dataset, key):
+        # each key is hashed into the run directory, so ignoring one would
+        # start a new run of the same experiment
+        name = dataset.get("name", "synthetic")
+        message = rf"config key dataset\.{key} is not used by dataset {name} "
+        with pytest.raises(PruneKitError, match=message):
+            pipeline.config_from_dict({"dataset": dataset})
+        with pytest.raises(PruneKitError, match=message):
+            pipeline.DatasetConfig(**dataset)
+
+    def test_dataset_keys_at_their_defaults_are_accepted(self):
+        cifar = pipeline.config_from_dict({"dataset": {
+            "name": "cifar10", "path": "/data", "num_classes": 10, "train_size": 512,
+            "noise": 0.15}}).dataset
+        assert (cifar.path, cifar.num_classes) == ("/data", 10)
+        assert pipeline.DatasetConfig(path=".", train_size=64).train_size == 64
+
     def test_int_for_float_list_for_tuple_and_null_seed_accepted(self):
         cfg = pipeline.config_from_dict({"epsilon": 1, "swarm": {"seed": None, "v_max": 3},
                                          "trainer": {"lr_drops": [[0.5, 10]]}})
@@ -232,6 +259,42 @@ trainer:
         cfg = pipeline.load_config(path)
         assert (cfg.template, cfg.epsilon, cfg.min_pts) == ("tiny4", 0.05, 3)
         assert cfg.swarm.particles == 6 and cfg.trainer.lr_drops == ((0.5, 10.0), (0.75, 10.0))
+
+
+def spy_on_training(monkeypatch) -> list:
+    """The widths of each net the pipeline trains from here on (baseline,
+    proxy and retrain alike), in the order it trains them."""
+    trained = []
+
+    def spying(train):
+        def spy(net, *args, **kwargs):
+            trained.append(tuple(net.template.original_structure()))
+            return train(net, *args, **kwargs)
+        return spy
+    monkeypatch.setattr(pipeline, "train", spying(pipeline.train))
+    monkeypatch.setattr(pipeline.swarm.nncore, "train", spying(pipeline.swarm.nncore.train))
+    return trained
+
+
+def copy_of_finished_run(desk_run_pair, tmp_path):
+    """A desk config whose run directory is a copy of the finished desk run,
+    and that directory's files as bytes."""
+    config = desk_experiment_config(tmp_path / "copy")
+    shutil.copytree(desk_run_pair["config_a"].run_dir(), config.run_dir())
+    return config, {name: Path(config.run_dir(), name).read_bytes()
+                    for name in os.listdir(config.run_dir())}
+
+
+def assert_same_run(config, before):
+    """The run directory holds the files ``before`` holds, byte for byte;
+    report.json, rewritten with this run's timings, by its comparable part."""
+    assert sorted(os.listdir(config.run_dir())) == sorted(before)
+    for name, data in before.items():
+        got = Path(config.run_dir(), name).read_bytes()
+        if name == "report.json":
+            got, data = (RunReport.from_dict(json.loads(d)).comparable_dict()
+                         for d in (got, data))
+        assert got == data, name
 
 
 class TestDeskRun:
@@ -290,15 +353,17 @@ class TestDeskRun:
         with open(trace_a, "rb") as fa, open(trace_b, "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_resume_skips_training_and_agrees(self, desk_run_pair):
+    def test_resume_skips_training_and_agrees(self, desk_run_pair, monkeypatch):
         import time
         config = desk_run_pair["config_a"]
+        trained = spy_on_training(monkeypatch)
         start = time.perf_counter()
-        report = pipeline.run(config, resume=True)
+        report = pipeline.run(config)
         elapsed = time.perf_counter() - start
         assert report.comparable_dict() == \
             desk_run_pair["report_a"].comparable_dict()
         assert elapsed < 10.0  # all stages reused, no retraining
+        assert len(trained) == 0
 
     def test_normalization_recorded(self, desk_run_pair):
         norm = desk_run_pair["report_a"].normalization
@@ -331,24 +396,13 @@ class TestKilledWriteLitter:
     def test_resume_deletes_tmp_files_and_keeps_the_rest(self, desk_run_pair, tmp_path):
         """A write killed inside util._atomic_write leaves <name>.<random>.tmp
         behind; the next run of the directory deletes it."""
-        finished = desk_run_pair["config_a"]
-        config = desk_experiment_config(tmp_path / "copy")
-        shutil.copytree(finished.run_dir(), config.run_dir())
-        run_dir = config.run_dir()
-        before = {}
-        for name in os.listdir(run_dir):
-            with open(os.path.join(run_dir, name), "rb") as fh:
-                before[name] = fh.read()
-        litter = os.path.join(run_dir, "search.json.killed.tmp")
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        litter = os.path.join(config.run_dir(), "search.json.killed.tmp")
         with open(litter, "w") as fh:
             fh.write('{"best": [1')
-        report = pipeline.run(config, resume=True)
+        report = pipeline.run(config)
         assert not os.path.exists(litter)
-        assert sorted(os.listdir(run_dir)) == sorted(before)
-        for name, data in before.items():
-            if name != "report.json":  # rewritten with this run's timings
-                with open(os.path.join(run_dir, name), "rb") as fh:
-                    assert fh.read() == data, name
+        assert_same_run(config, before)
         assert report.comparable_dict() == \
             RunReport.from_dict(json.loads(before["report.json"])).comparable_dict()
 
@@ -404,7 +458,7 @@ class TestResumedSearch:
         """A search that crashed at a swarm_state.json write and was resumed
         writes the same search.json as one that never stopped."""
         config, crashed = self.run_crashed_at_iteration_2(tmp_path, monkeypatch)
-        pipeline.run(crashed, resume=True, through="search")
+        pipeline.run(crashed, through="search")
         self.assert_same_search(config, crashed)
 
     def test_resume_trains_only_structures_the_old_trace_lacks(self, tmp_path, monkeypatch):
@@ -412,16 +466,28 @@ class TestResumedSearch:
         structure an old line scored is not trained again."""
         config, crashed = self.run_crashed_at_iteration_2(tmp_path, monkeypatch)
         scored = trace_structures(crashed)
-        trained = []
-        train = pipeline.swarm.nncore.train
-
-        def spy(net, *args, **kwargs):
-            trained.append(tuple(net.template.original_structure()))
-            return train(net, *args, **kwargs)
-        monkeypatch.setattr(pipeline.swarm.nncore, "train", spy)
-        pipeline.run(crashed, resume=True, through="search")
+        trained = spy_on_training(monkeypatch)
+        pipeline.run(crashed, through="search")
         assert sorted(trained) == sorted(trace_structures(crashed) - scored)
         self.assert_same_search(config, crashed)
+
+    def test_rerun_after_a_cut_trace_trains_only_the_missing_structures(
+            self, desk_run_pair, tmp_path, monkeypatch):
+        """A finished desk run whose trace is cut mid iteration 1 and whose
+        search.json is gone: a plain rerun trains only the structures the
+        kept lines lack, reuses every other stage, and ends in the
+        uninterrupted run's files."""
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        lines = before["swarm_trace.jsonl"].splitlines(keepends=True)
+        kept = lines[:config.swarm.particles + 2]
+        Path(config.run_dir(), "swarm_trace.jsonl").write_bytes(b"".join(kept))
+        os.remove(os.path.join(config.run_dir(), "search.json"))
+        trained = spy_on_training(monkeypatch)
+        pipeline.run(config)
+        missing = trace_structures(config) - {tuple(json.loads(line)["structure"])
+                                              for line in kept}
+        assert missing and sorted(trained) == sorted(missing)
+        assert_same_run(config, before)
 
 
 class TestFailureRecording:
@@ -486,7 +552,7 @@ class TestResumeChecks:
         with pytest.raises(PruneKitError, match=(
                 rf"coarse stage: reused .*coarse\.json holds {len(original) - 1} "
                 rf"widths, expected {len(original)}")):
-            run.stage_coarse(None, resume=True)
+            run.stage_coarse(None)
         report = RunReport.load(run.path("report.json"))
         assert report.failed_stage == "coarse"
 
@@ -498,7 +564,7 @@ class TestResumeChecks:
         with pytest.raises(PruneKitError, match=(
                 rf"search stage: reused .*search\.json: width {widths[2]} of slot 2 "
                 rf"is outside \[1, {widths[2] - 1}\]")):
-            run.stage_search(None, resume=True)
+            run.stage_search(None)
 
     def write_retrain(self, run, widths):
         self.write_artifact(run, "retrain.json", "structure", widths)
@@ -511,7 +577,7 @@ class TestResumeChecks:
         with pytest.raises(PruneKitError, match=(
                 rf"retrain stage: reused .*retrain\.json holds {len(original) - 1} "
                 rf"widths, expected {len(original)}")):
-            run.stage_retrain(None, resume=True)
+            run.stage_retrain(None)
         report = RunReport.load(run.path("report.json"))
         assert report.failed_stage == "retrain"
 
@@ -523,7 +589,7 @@ class TestResumeChecks:
         with pytest.raises(PruneKitError, match=(
                 rf"retrain stage: reused .*retrain\.json: width 999 of slot 0 "
                 rf"is outside \[1, {run.template.original_structure()[0]}\]")):
-            run.stage_retrain(None, resume=True)
+            run.stage_retrain(None)
 
     @pytest.mark.parametrize("stage,name,text", [
         ("baseline", "baseline.json", "{"),
@@ -541,9 +607,9 @@ class TestResumeChecks:
         for ckpt in ("baseline.ckpt", "final.ckpt"):
             open(run.path(ckpt), "wb").close()
         call = {"baseline": lambda: run.stage_baseline(),
-                "coarse": lambda: run.stage_coarse(None, resume=True),
-                "search": lambda: run.stage_search(None, resume=True),
-                "retrain": lambda: run.stage_retrain(None, resume=True)}[stage]
+                "coarse": lambda: run.stage_coarse(None),
+                "search": lambda: run.stage_search(None),
+                "retrain": lambda: run.stage_retrain(None)}[stage]
         with pytest.raises(PruneKitError, match=rf"{stage} stage: reused .*{name}"):
             call()
         assert RunReport.load(run.path("report.json")).failed_stage == stage
@@ -563,17 +629,29 @@ class TestResumeChecks:
             json.dump(saved, fh)
         stage = name.split(".")[0]
         with pytest.raises(PruneKitError, match=rf"{stage} stage: reused .*{name}.*{key}"):
-            pipeline.run(config, resume=True)
+            pipeline.run(config)
         report = RunReport.load(os.path.join(config.run_dir(), "report.json"))
         assert report.failed_stage == stage
+
+    def test_torn_checkpoint_names_the_file_to_delete(self, desk_run_pair, tmp_path):
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        ckpt = os.path.join(config.run_dir(), "baseline.ckpt")
+        Path(ckpt).write_bytes(before["baseline.ckpt"][:100])
+        with pytest.raises(PruneKitError, match=(
+                rf"^baseline stage: reused {re.escape(ckpt)}: checkpoint truncated .*"
+                rf"; delete it to recompute$")):
+            pipeline.run(config)
+        os.remove(ckpt)
+        pipeline.run(config)
+        assert_same_run(config, before)
 
     def test_valid_artifacts_are_reused(self, tmp_path):
         run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
         widths = [1] * len(run.template.prunable_slots)
         self.write_artifact(run, "coarse.json", "structure", widths)
         self.write_artifact(run, "search.json", "best", widths)
-        assert tuple(run.stage_coarse(None, resume=True)[0]) == tuple(widths)
-        assert tuple(run.stage_search(None, resume=True)[0]) == tuple(widths)
+        assert tuple(run.stage_coarse(None)[0]) == tuple(widths)
+        assert tuple(run.stage_search(None)[0]) == tuple(widths)
 
 
 class TestReportLoad:

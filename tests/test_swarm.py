@@ -413,8 +413,7 @@ class TestSearch:
             search(coarse, bounds, DiesAt(23), cfg,
                    state_path=str(state), trace_path=str(trace))
         resumed = search(coarse, bounds, quadratic_well(target), cfg,
-                         state_path=str(state), trace_path=str(trace),
-                         resume=True)
+                         state_path=str(state), trace_path=str(trace))
 
         assert tuple(resumed.best) == tuple(full.best)
         assert resumed.best_fitness == full.best_fitness
@@ -446,7 +445,7 @@ class TestSearch:
                    state_path=state, trace_path=trace)
         monkeypatch.setattr(swarm_module, attr, original)
         search(coarse, bounds, quadratic_well(target), cfg,
-               state_path=state, trace_path=trace, resume=True)
+               state_path=state, trace_path=trace)
         return (tmp_path / "trace.jsonl").read_bytes(), \
             (tmp_path / "full_trace.jsonl").read_bytes()
 
@@ -490,7 +489,7 @@ class TestSearch:
         tail = [tuple(r["structure"]) for r in full.trace[12:]]
         assert old & set(tail)
         evaluator = quadratic_well((6, 14))
-        search(coarse, bounds, evaluator, cfg, trace_path=str(trace), resume=True)
+        search(coarse, bounds, evaluator, cfg, trace_path=str(trace))
         assert evaluator.calls == [s for s in tail if s not in old]
         assert trace.read_text() == "".join(lines)
 
@@ -519,7 +518,7 @@ class TestSearch:
         trace.write_text("".join(bad))
         evaluator = quadratic_well((6, 14))
         with pytest.raises(PruneKitError, match=rf"resumed {re.escape(str(trace))} line {bad_line} "):
-            search(coarse, bounds, evaluator, cfg, trace_path=str(trace), resume=True)
+            search(coarse, bounds, evaluator, cfg, trace_path=str(trace))
         assert evaluator.calls == []
         assert trace.read_text() == "".join(bad)
 
