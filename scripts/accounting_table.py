@@ -13,8 +13,8 @@ from prunekit import archspec
 def describe(name: str) -> None:
     template = archspec.get_template(name)
     params = archspec.param_count(template)
-    flops_mac = archspec.flops_count(template, convention=archspec.FlopConvention.MAC)
-    flops_2x = archspec.flops_count(template, convention=archspec.FlopConvention.MUL_ADD)
+    flops_mac = archspec.flops_count(template)
+    flops_2x = 2 * flops_mac
     widths = tuple(template.original_structure())
     print(f"{name}")
     print(f"  prunable widths : {widths}")

@@ -8,7 +8,6 @@ spatial sizes always stay consistent with the requested widths.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from numbers import Integral
 from pathlib import Path
 
@@ -34,13 +33,6 @@ _FIELDS = {
     KIND_BN: (),
     KIND_HEAD: ("bias",),
 }
-
-
-class FlopConvention(Enum):
-    """How a multiply-accumulate is priced. MAC counts it as one operation."""
-
-    MAC = 1
-    MUL_ADD = 2
 
 
 @dataclass(frozen=True)
@@ -241,11 +233,9 @@ def param_count(template: ArchTemplate, structure=None) -> int:
     return total
 
 
-def flops_count(
-    template: ArchTemplate, structure=None, convention: FlopConvention = FlopConvention.MAC
-) -> int:
-    """Forward-pass FLOPs. Under the MAC convention one multiply-accumulate
-    costs one operation; conv and fc layers are the only contributors."""
+def flops_count(template: ArchTemplate, structure=None) -> int:
+    """Forward-pass FLOPs, one per multiply-accumulate; conv and fc layers
+    are the only contributors."""
     inst = _resolved(template, structure)
     total = 0
     for layer in inst.layers:
@@ -255,7 +245,7 @@ def flops_count(
             total += layer.out_channels * layer.in_channels * kh * kw * ow * oh
         elif layer.kind in (KIND_FC, KIND_HEAD):
             total += layer.in_channels * layer.out_channels
-    return total * convention.value
+    return total
 
 
 def drop_percent(original: float, pruned: float) -> float:

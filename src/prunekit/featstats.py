@@ -9,11 +9,13 @@ parallel mean maps".
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StructureError
+from .util import write_text_atomic
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,12 @@ def distance_matrix(sim: SimilarityMatrix) -> np.ndarray:
 
 
 def dump_similarity_csv(path, sim: SimilarityMatrix) -> None:
-    """Write one layer's similarity matrix as a plain CSV for inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        c = sim.entries.shape[0]
-        writer.writerow(["channel"] + [str(j) for j in range(c)])
-        for i in range(c):
-            writer.writerow([str(i)] + [f"{v:.9f}" for v in sim.entries[i]])
+    """Write one layer's similarity matrix atomically as a plain CSV for
+    inspection."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    c = sim.entries.shape[0]
+    writer.writerow(["channel"] + [str(j) for j in range(c)])
+    for i in range(c):
+        writer.writerow([str(i)] + [f"{v:.9f}" for v in sim.entries[i]])
+    write_text_atomic(path, buf.getvalue())

@@ -133,6 +133,9 @@ class ExperimentConfig:
             d["template"] = archspec.load_template(self.template).template_hash()
         if d["swarm"]["seed"] is None:
             del d["swarm"]["seed"]
+        # the swarm's one gbest rule was once a setting; hashing it as before
+        # keeps the name of every existing run directory
+        d["swarm"]["gbest_update"] = "iteration"
         return d
 
     def config_hash(self) -> str:
@@ -267,24 +270,25 @@ class ExperimentRun:
             config_hash=self.config.config_hash(), seed=self.config.seed,
             **fields)
 
-    def _stage(self, stage, artifact, compute, reuse=True, checkpoint=None, net=None,
+    def _stage(self, stage, artifact, compute, reuse=True, checkpoint=None,
                widths=None, keys=()):
         """Run one stage: reuse its checked artifact, or compute it and write it.
 
-        With ``reuse`` set, an existing ``artifact`` (plus its ``checkpoint``,
-        for a stage that writes one) is read back, ``net`` gets the
-        checkpoint's weights, the width vector under the key ``widths`` must
-        pass ``ArchTemplate.check_widths``, and every key in ``keys`` must be
-        present; a reused file that fails a check is named, with the advice
-        to delete it. Otherwise the dict ``compute()`` returns is written
-        atomically. The stage is timed. A PruneKitError that ends the stage
+        ``checkpoint`` is the (file name, network builder) pair of a stage
+        that writes one. With ``reuse`` set, an existing ``artifact`` (plus
+        its checkpoint) is read back, the width vector under the key
+        ``widths`` must pass ``ArchTemplate.check_widths``, every key in
+        ``keys`` must be present, and only then is the network built and
+        given the checkpoint's weights; a reused file that fails a check is
+        named, with the advice to delete it. Otherwise the dict
+        ``compute()`` returns is written atomically. The stage is timed. A PruneKitError that ends the stage
         gets its message prefixed with "<stage> stage: ", and any failure is
         recorded in report.json before it propagates. Returns the artifact,
         preceded by its width vector as a tuple if ``widths`` is set.
         """
         start = time.perf_counter()
         path = self.path(artifact)
-        ckpt = self.path(checkpoint) if checkpoint else None
+        ckpt = self.path(checkpoint[0]) if checkpoint else None
         reused = reuse and os.path.exists(path) and (ckpt is None or os.path.exists(ckpt))
         try:
             if reused:
@@ -302,9 +306,9 @@ class ExperimentRun:
                 for key in keys:
                     if not isinstance(saved, dict) or key not in saved:
                         raise PruneKitError(f"{where} has no {key!r} field")
-                if net is not None:
+                if ckpt is not None:
                     try:
-                        load_model(ckpt, net)
+                        load_model(ckpt, checkpoint[1]())
                     except PruneKitError as exc:
                         exc.args = (f"reused {ckpt}: {exc}",)
                         raise
@@ -347,7 +351,7 @@ class ExperimentRun:
             return {**self._fit(net, "baseline", epochs, "baseline_trace.csv", "baseline.ckpt"),
                     "epochs": epochs, "weight_init": "kaiming-fan-in"}
         meta = self._stage("baseline", "baseline.json", compute,
-                           checkpoint="baseline.ckpt", net=net,
+                           checkpoint=("baseline.ckpt", lambda: net),
                            keys=("accuracy", "params", "flops", "epochs"))
         return net, meta
 
@@ -405,17 +409,22 @@ class ExperimentRun:
 
     # -- stage 4 ------------------------------------------------------------
     def stage_retrain(self, final_structure):
-        def compute():
+        """Retrain ``final_structure`` from fresh weights; a reused final.ckpt
+        must load into that network."""
+        def network():
             pruned = archspec.instantiate(self.template, final_structure)
+            return Network(pruned, seed=derive_seed(self.config.seed, "retrain", "init"))
+
+        def compute():
+            net = network()
             epochs = retrain_epochs(self.config.baseline_epochs,
                                     archspec.flops_count(self.template),
-                                    archspec.flops_count(pruned))
-            net = Network(pruned, seed=derive_seed(self.config.seed, "retrain", "init"))
+                                    archspec.flops_count(net.template))
             return {"structure": list(final_structure),
                     **self._fit(net, "retrain", epochs, "final_trace.csv", "final.ckpt"),
                     "retrain_epochs": epochs}
         return self._stage("retrain", "retrain.json", compute,
-                           checkpoint="final.ckpt", widths="structure",
+                           checkpoint=("final.ckpt", network), widths="structure",
                            keys=("accuracy", "params", "flops", "retrain_epochs"))
 
     # -- stage 5 ------------------------------------------------------------

@@ -20,19 +20,11 @@ from . import archspec, nncore
 from .errors import BoundsError, PruneKitError
 from .util import derive_seed, round_half_away, write_text_atomic
 
-GBEST_ITERATION = "iteration"
-GBEST_IMMEDIATE = "immediate"
-
 
 @dataclass(frozen=True)
 class SwarmConfig:
-    """Search hyperparameters.
-
-    ``gbest_update`` selects when a new global best becomes visible to other
-    particles: "iteration" (default) applies it after all of an iteration's
-    evaluations, which keeps the per-iteration evaluations independent;
-    "immediate" applies it inside the particle loop.
-    """
+    """Search hyperparameters. Every particle of an iteration moves toward the
+    gbest the iteration starts with: a new gbest is seen from the next one on."""
 
     particles: int = 20
     iterations: int = 30
@@ -44,7 +36,6 @@ class SwarmConfig:
     w_snd: float = 0.4
     proxy_epochs: int = 2
     seed: int | None = None  # None lets a caller derive one; treated as 0 here
-    gbest_update: str = GBEST_ITERATION
 
     def __post_init__(self):
         if self.particles < 1:
@@ -58,8 +49,6 @@ class SwarmConfig:
                 f"need w_ini >= w_snd >= 0, got {self.w_ini}, {self.w_snd}")
         if self.proxy_epochs < 1:
             raise BoundsError(f"proxy_epochs must be >= 1, got {self.proxy_epochs}")
-        if self.gbest_update not in (GBEST_ITERATION, GBEST_IMMEDIATE):
-            raise BoundsError(f"unknown gbest_update mode {self.gbest_update!r}")
 
 
 @dataclass
@@ -145,40 +134,28 @@ def update_position(particle: Particle, config: SwarmConfig):
 
 
 def _score(state: SwarmState, t: int, bounds, evaluator, config: SwarmConfig) -> list:
-    """One pass over the swarm at iteration ``t``: move each particle (from
-    t = 1 on), evaluate it, update its pbest and the gbest, and return the
-    pass's trace records. "immediate" mode updates the gbest inside the pass
-    from t = 1 on; otherwise it is the first highest pbest after the pass,
-    if that beats the old gbest."""
-    immediate = t > 0 and config.gbest_update == GBEST_IMMEDIATE
-    gbest_before = state.gbest
+    """One pass at iteration ``t``; returns its records. From t = 1 on, move all
+    particles toward the gbest the pass starts with; evaluate each and update
+    its pbest; then the first highest pbest, if better, is the gbest (is_gbest)."""
+    if t > 0:
+        for p in state.particles:
+            update_velocity(p, state.gbest, t, config, state.rng)
+            update_position(p, config)
     records = []
     for idx, p in enumerate(state.particles):
-        if t > 0:
-            update_velocity(p, state.gbest if immediate else gbest_before, t, config, state.rng)
-            update_position(p, config)
         structure = evaluated_structure(p.position, bounds)
         fitness = evaluator.evaluate(structure)
         improved = fitness > p.pbest_fitness
         if improved:
-            p.pbest = structure
-            p.pbest_fitness = fitness
+            p.pbest, p.pbest_fitness = structure, fitness
         records.append({"iteration": t, "particle": idx,
                         "structure": list(structure), "fitness": fitness,
                         "is_pbest": improved, "is_gbest": False})
-        if immediate and improved and fitness > state.gbest_fitness:
-            state.gbest = p.pbest
-            state.gbest_fitness = p.pbest_fitness
-            records[idx]["is_gbest"] = True
-    if not immediate:
-        new_best_idx = None
-        for idx, p in enumerate(state.particles):
-            if p.pbest_fitness > state.gbest_fitness:
-                state.gbest = p.pbest
-                state.gbest_fitness = p.pbest_fitness
-                new_best_idx = idx
-        if new_best_idx is not None:
-            records[new_best_idx]["is_gbest"] = True
+    best = int(np.argmax([p.pbest_fitness for p in state.particles]))
+    top = state.particles[best]
+    if top.pbest_fitness > state.gbest_fitness:
+        state.gbest, state.gbest_fitness = top.pbest, top.pbest_fitness
+        records[best]["is_gbest"] = True
     state.iteration = t
     return records
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from prunekit import archspec
 from prunekit.archspec import (
     ArchTemplate,
-    FlopConvention,
     LayerDef,
     assemble,
     compression_report,
@@ -141,10 +140,6 @@ class TestFlopsCount:
         t0 = assemble("a", (3, 8, 8), 2, conv_only, prunable_slots=(0,))
         t1 = assemble("b", (3, 8, 8), 2, padded, prunable_slots=(0,))
         assert flops_count(t0) == flops_count(t1)
-
-    def test_convention_toggle_doubles(self):
-        t = two_conv_template()
-        assert flops_count(t, convention=FlopConvention.MUL_ADD) == 2 * flops_count(t)
 
 
 class TestVggCalibration:

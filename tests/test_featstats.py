@@ -7,6 +7,7 @@ from oracles import abs_cosine, similarity_loop
 
 from prunekit.featstats import (
     ChannelMeanMaps,
+    SimilarityMatrix,
     distance_matrix,
     dump_similarity_csv,
     similarity,
@@ -119,3 +120,9 @@ class TestCsvDump:
         got = np.array([[float(v) for v in line.split(",")[1:]]
                         for line in lines[1:]])
         np.testing.assert_allclose(got, sim.entries, atol=1e-9)
+
+    def test_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "sim.csv"
+        dump_similarity_csv(path, SimilarityMatrix(np.array([[1.0, 0.5], [0.5, 1.0]])))
+        assert path.read_bytes() == (b"channel,0,1\r\n0,1.000000000,0.500000000\r\n"
+                                     b"1,0.500000000,1.000000000\r\n")

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import importlib.util
 import json
 import os
@@ -11,8 +13,9 @@ import yaml
 from conftest import desk_experiment_config
 from test_data import write_fake_cifar
 
-from prunekit import archspec, pipeline
+from prunekit import archspec, featstats, pipeline
 from prunekit.errors import BoundsError, PruneKitError
+from prunekit.nncore import Network
 from prunekit.report import TABLE_COLUMNS, RunReport, render_table
 from prunekit.swarm import SwarmConfig
 
@@ -54,7 +57,6 @@ class TestConfigIdentity:
         assert a.config_hash() == b.config_hash()
 
     def test_result_affecting_fields_change_identity(self, tmp_path):
-        import dataclasses
         base = desk_experiment_config(tmp_path)
         for change in ({"epsilon": 0.1}, {"min_pts": 4}, {"sample_count": 64},
                        {"baseline_epochs": 11}, {"template": "vgg16-cifar"}):
@@ -62,7 +64,6 @@ class TestConfigIdentity:
             assert other.config_hash() != base.config_hash(), change
 
     def test_explicit_swarm_seed_is_identity(self, tmp_path):
-        import dataclasses
         base = desk_experiment_config(tmp_path)
         pinned = dataclasses.replace(
             base, swarm=dataclasses.replace(base.swarm, seed=7))
@@ -75,13 +76,11 @@ class TestConfigIdentity:
 
     @pytest.mark.parametrize("template", ["/elsewhere/tpl.yaml", "nested/dir/tpl.yaml"])
     def test_template_path_run_dir_stays_under_out(self, tmp_path, template):
-        import dataclasses
         cfg = dataclasses.replace(desk_experiment_config(tmp_path), template=template)
         assert cfg.run_dir() == os.path.join(
             str(tmp_path), f"tpl.yaml-{cfg.config_hash()}-s0")
 
     def test_template_file_is_identified_by_its_contents(self, tmp_path):
-        import dataclasses
         base = desk_experiment_config(tmp_path)
         text = yaml.safe_dump(archspec.tiny4(num_classes=4).to_config_dict())
         (tmp_path / "b").mkdir()
@@ -95,7 +94,6 @@ class TestConfigIdentity:
         assert a.config_hash() != b.config_hash()
 
     def test_validation_delegates_to_neighborhood(self, tmp_path):
-        import dataclasses
         base = desk_experiment_config(tmp_path)
         with pytest.raises(BoundsError):
             dataclasses.replace(base, epsilon=0.0)
@@ -172,6 +170,7 @@ trainer:
         ({"dataset": {"classes": 3}}, "dataset.classes"),
         ({"trainer": {"lr": 0.1}}, "trainer.lr"),
         ({"neighborhood": {"eps": 0.1}}, "neighborhood.eps"),
+        ({"swarm": {"gbest_update": "iteration"}}, "swarm.gbest_update"),
     ])
     def test_unknown_key_named(self, raw, key):
         with pytest.raises(PruneKitError, match=rf"unknown config key {key} "):
@@ -373,7 +372,6 @@ class TestDeskRun:
 
 class TestRerun:
     def test_rerun_keeps_one_trace_row_per_epoch(self, tmp_path):
-        import dataclasses
         config = dataclasses.replace(
             desk_experiment_config(tmp_path), baseline_epochs=2,
             swarm=SwarmConfig(particles=2, iterations=1, proxy_epochs=1))
@@ -430,7 +428,6 @@ class TestResumedSearch:
     def run_crashed_at_iteration_2(self, tmp_path, monkeypatch):
         """An uninterrupted search, and a copy that crashed at its iteration-2
         swarm_state.json write, after that iteration's trace lines."""
-        import dataclasses
         config = dataclasses.replace(
             desk_experiment_config(tmp_path / "full"), baseline_epochs=1,
             swarm=SwarmConfig(particles=3, iterations=4, proxy_epochs=1))
@@ -492,7 +489,6 @@ class TestResumedSearch:
 
 class TestFailureRecording:
     def test_input_shape_mismatch_rejected_up_front(self, tmp_path):
-        import dataclasses
         from prunekit.errors import PruneKitError
         config = desk_experiment_config(tmp_path)
         bad = dataclasses.replace(
@@ -516,7 +512,6 @@ class TestFailureRecording:
         assert not (tmp_path / "runs").exists()
 
     def test_stage_error_writes_failure_report(self, tmp_path, monkeypatch):
-        import dataclasses
         # quick baseline so the failure fires fast
         config = dataclasses.replace(desk_experiment_config(tmp_path),
                                      baseline_epochs=1)
@@ -633,14 +628,31 @@ class TestResumeChecks:
         report = RunReport.load(os.path.join(config.run_dir(), "report.json"))
         assert report.failed_stage == stage
 
-    def test_torn_checkpoint_names_the_file_to_delete(self, desk_run_pair, tmp_path):
+    @pytest.mark.parametrize("stage,name", [("baseline", "baseline.ckpt"),
+                                            ("retrain", "final.ckpt")])
+    def test_torn_checkpoint_names_the_file_to_delete(self, desk_run_pair, tmp_path,
+                                                      stage, name):
         config, before = copy_of_finished_run(desk_run_pair, tmp_path)
-        ckpt = os.path.join(config.run_dir(), "baseline.ckpt")
-        Path(ckpt).write_bytes(before["baseline.ckpt"][:100])
+        ckpt = os.path.join(config.run_dir(), name)
+        Path(ckpt).write_bytes(before[name][:100])
         with pytest.raises(PruneKitError, match=(
-                rf"^baseline stage: reused {re.escape(ckpt)}: checkpoint truncated .*"
+                rf"^{stage} stage: reused {re.escape(ckpt)}: checkpoint truncated .*"
                 rf"; delete it to recompute$")):
             pipeline.run(config)
+        assert Path(ckpt).read_bytes() == before[name][:100]
+        os.remove(ckpt)
+        pipeline.run(config)
+        assert_same_run(config, before)
+
+    def test_foreign_final_checkpoint_names_the_file_to_delete(self, desk_run_pair, tmp_path):
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        ckpt = os.path.join(config.run_dir(), "final.ckpt")
+        shutil.copyfile(os.path.join(config.run_dir(), "baseline.ckpt"), ckpt)
+        with pytest.raises(PruneKitError, match=(
+                rf"^retrain stage: reused {re.escape(ckpt)}: checkpoint was written for "
+                rf"template .*; delete it to recompute$")):
+            pipeline.run(config)
+        assert Path(ckpt).read_bytes() == before["baseline.ckpt"]
         os.remove(ckpt)
         pipeline.run(config)
         assert_same_run(config, before)
@@ -652,6 +664,62 @@ class TestResumeChecks:
         self.write_artifact(run, "search.json", "best", widths)
         assert tuple(run.stage_coarse(None)[0]) == tuple(widths)
         assert tuple(run.stage_search(None)[0]) == tuple(widths)
+
+
+def _disk_full(*args):
+    raise OSError("disk full")
+
+
+class _TornWriter:
+    """A csv writer that runs out of disk at its second row."""
+
+    def __init__(self, writer):
+        self.writer, self.rows = writer, 0
+
+    def writerow(self, row):
+        if self.rows == 1:
+            _disk_full()
+        self.rows += 1
+        self.writer.writerow(row)
+
+
+class TestSimilarityCsvs:
+    def coarse_run(self, out_dir):
+        config = dataclasses.replace(desk_experiment_config(out_dir), dump_similarity=True)
+        run = pipeline.ExperimentRun(config)
+        return run, Network(run.template, seed=0)
+
+    def csvs(self, run):
+        return {name: Path(run.path(name)).read_bytes()
+                for name in os.listdir(run.run_dir) if name.startswith("similarity_slot")}
+
+    @pytest.mark.parametrize("fault", ["row", "fsync"])
+    def test_an_error_in_the_third_csv_leaves_no_torn_file(self, tmp_path, monkeypatch, fault):
+        clean, net = self.coarse_run(tmp_path / "clean")
+        clean.stage_coarse(net)
+        expected = self.csvs(clean)
+        assert len(expected) == 4
+
+        run, net = self.coarse_run(tmp_path / "cut")
+        written, dump, writer = [], featstats.dump_similarity_csv, csv.writer
+
+        def third_fails(path, sim):
+            written.append(os.path.basename(path))
+            with monkeypatch.context() as m:
+                if len(written) == 3 and fault == "row":
+                    m.setattr(featstats.csv, "writer", lambda fh: _TornWriter(writer(fh)))
+                elif len(written) == 3:
+                    m.setattr(os, "fsync", _disk_full)
+                dump(path, sim)
+        monkeypatch.setattr(featstats, "dump_similarity_csv", third_fails)
+        with pytest.raises(OSError, match="disk full"):
+            run.stage_coarse(net)
+        assert sorted(self.csvs(run)) == written[:2]
+        assert not [name for name in os.listdir(run.run_dir) if name.endswith(".tmp")]
+
+        monkeypatch.undo()
+        run.stage_coarse(net)
+        assert self.csvs(run) == expected
 
 
 class TestReportLoad:

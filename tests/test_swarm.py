@@ -9,8 +9,6 @@ from prunekit.archspec import tiny4
 from prunekit.errors import BoundsError, PruneKitError, TrainingDiverged
 from prunekit.nncore import TrainConfig
 from prunekit.swarm import (
-    GBEST_IMMEDIATE,
-    GBEST_ITERATION,
     Particle,
     ProxyFitnessEvaluator,
     SwarmConfig,
@@ -71,8 +69,6 @@ class TestConfig:
             SwarmConfig(w_ini=0.3, w_snd=0.4)
         with pytest.raises(BoundsError):
             SwarmConfig(proxy_epochs=0)
-        with pytest.raises(BoundsError):
-            SwarmConfig(gbest_update="sometimes")
 
 
 class TestInertia:
@@ -371,25 +367,12 @@ class TestSearch:
         assert a.history == b.history
         assert tuple(a.best) == tuple(b.best)
 
-    def test_immediate_mode_marks_each_improver(self):
-        target = (3, 17)
-        evaluator = quadratic_well(target)
-        cfg = SwarmConfig(particles=6, iterations=10, seed=6,
-                          gbest_update=GBEST_IMMEDIATE)
-        result = search((10, 10), (20, 20), evaluator, cfg)
-        fits = [h[1] for h in result.history]
-        assert fits == sorted(fits)
-        claimed = [r["fitness"] for r in result.trace if r["is_gbest"]]
-        assert claimed == sorted(claimed)
-        assert claimed[-1] == result.best_fitness
-
-    @pytest.mark.parametrize("gbest_update", [GBEST_ITERATION, GBEST_IMMEDIATE])
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path, gbest_update):
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         # crash mid-iteration, then resume with the same config: the result
         # and the accumulated trace must match an uninterrupted run exactly
         target = (6, 14)
         coarse, bounds = (10, 10), (20, 20)
-        cfg = SwarmConfig(particles=5, iterations=8, seed=17, gbest_update=gbest_update)
+        cfg = SwarmConfig(particles=5, iterations=8, seed=17)
 
         full = search(coarse, bounds, quadratic_well(target), cfg,
                       state_path=str(tmp_path / "full_state.json"),
