@@ -203,6 +203,12 @@ def _pad(x, padding):
     return padded
 
 
+def _out_size(h, w, kh, kw, stride, padding=0):
+    """(out_h, out_w): how many kh x kw windows, ``stride`` apart, fit an
+    h x w input with ``padding`` zero cells added on each side."""
+    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+
+
 def _windows(kh, kw, stride, rows, out_w):
     """(i, j, index) for each kernel offset in row-major order, the order
     every scatter-add here sums in. ``index`` selects from a padded
@@ -226,8 +232,7 @@ def im2col(x, kh, kw, stride, padding, rows=None, out=None):
     that many elements, receives them in place of a fresh array.
     """
     n, c, h, w = x.shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
+    out_h, out_w = _out_size(h, w, kh, kw, stride, padding)
     r0, r1 = (0, out_h) if rows is None else rows
     x = x.transpose(1, 2, 3, 0)
     if padding:
@@ -251,8 +256,7 @@ def col2im(dcols, x_shape, kh, kw, stride, padding):
     out as (C, kh, kw, out_h, out_w, N), back onto an (N, C, H, W) gradient
     held batch-innermost."""
     n, c, h, w = x_shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
+    out_h, out_w = _out_size(h, w, kh, kw, stride, padding)
     dcols = dcols.reshape(c, kh, kw, out_h, out_w, n)
     dx = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=dcols.dtype)
     by_channel(_scatter_windows, (dcols, dx), kh, kw, stride, (0, out_h), out_w)
@@ -364,7 +368,7 @@ class Conv(Layer):
     def forward(self, x, train):
         n, _, h, w = x.shape
         out_c, _, kh, kw = self.weight.shape
-        out_h, out_w = self._out_size(h, w)
+        out_h, out_w = _out_size(h, w, kh, kw, self.stride, self.padding)
         w2d = self.weight.reshape(out_c, -1)
         xpad = x
         if self.padding:
@@ -391,11 +395,6 @@ class Conv(Layer):
         if self.bias is not None:
             by_channel(_add_into, (out, self.bias[:, None]))
         return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
-
-    def _out_size(self, h, w):
-        kh, kw = self.weight.shape[2:]
-        p, s = self.padding, self.stride
-        return (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
 
     def backward(self, dout, input_grad=True):
         x_shape, x, cols = self._cache
@@ -427,7 +426,7 @@ class Conv(Layer):
         n, in_c, h, w = x.shape
         out_c, _, kh, kw = self.weight.shape
         p = self.padding
-        out_h, out_w = self._out_size(h, w)
+        out_h, out_w = _out_size(h, w, kh, kw, self.stride, p)
         xpad = x.transpose(1, 2, 3, 0)
         if p:
             xpad = _pad(xpad, p)
@@ -581,70 +580,69 @@ class ReLU(Layer):
 
 class MaxPool(Layer):
     """Max pooling; ties go to the first element of the window in row-major
-    order."""
+    order. A window holding a NaN pools to NaN and passes back no gradient."""
 
     def __init__(self, kernel, stride):
         self.kernel = kernel
         self.stride = stride
 
-    def _tiles(self, h, w):
-        """Whether the windows tile the input exactly (kernel == stride and the
-        kernel divides both sides), so pooling is a reshape."""
-        k = self.kernel
-        return self.stride == k and h % k == 0 and w % k == 0
-
     def forward(self, x, train):
         n, c, h, w = x.shape
         k = self.kernel
-        if self._tiles(h, w):
-            win = x.transpose(1, 2, 3, 0).reshape(c, h // k, k, w // k, k, n)
-            out = np.empty((c, h // k, w // k, n), dtype=x.dtype)
-            first = np.empty(win.shape, dtype=bool) if train else None
-            by_channel(_pool_tiles, (win, out, first))
-            if train:
-                self._cache = (x.shape, first)
-            return out.transpose(3, 0, 1, 2)
-        cols, out_h, out_w = im2col(x, k, k, self.stride, 0)
-        cols = cols.reshape(c, k * k, -1)
-        arg = cols.argmax(axis=1)[:, None]
+        out_h, out_w = _out_size(h, w, k, k, self.stride)
+        out = np.empty((c, out_h, out_w, n), dtype=x.dtype)
+        # one plane per kernel offset: where that offset holds its window's
+        # first maximum
+        first = np.empty((c, k * k, out_h, out_w, n), dtype=bool) if train else None
+        by_channel(_pool_forward, (x.transpose(1, 2, 3, 0), out, first), k, self.stride)
         if train:
-            self._cache = (x.shape, arg)
-        out = np.take_along_axis(cols, arg, axis=1)
-        return out.reshape(c, out_h, out_w, n).transpose(3, 0, 1, 2)
+            self._cache = (x.shape, first)
+        return out.transpose(3, 0, 1, 2)
 
     def backward(self, dout, input_grad=True):
-        x_shape, picked = self._cache
+        x_shape, first = self._cache
         self._cache = None
         if not input_grad:
             return None
         n, c, h, w = x_shape
         k = self.kernel
-        dt = dout.transpose(1, 2, 3, 0)
-        if self._tiles(h, w):
-            dx = np.empty(picked.shape, dtype=dout.dtype)
-            by_channel(np.multiply, (picked, dt[:, :, None, :, None], dx))
-            return dx.reshape(c, h, w, n).transpose(3, 0, 1, 2)
-        dcols = np.zeros((c, k * k, picked.shape[2]), dtype=dout.dtype)
-        np.put_along_axis(dcols, picked, dt.reshape(c, 1, -1), axis=1)
-        return col2im(dcols, x_shape, k, k, self.stride, 0)
+        # windows that tile the input write every cell once; others add onto
+        # zeros, in col2im's order
+        tiles = self.stride == k and h % k == 0 and w % k == 0
+        dx = (np.empty if tiles else np.zeros)((c, h, w, n), dtype=dout.dtype)
+        by_channel(_pool_backward, (first, dout.transpose(1, 2, 3, 0), dx), k, self.stride,
+                   tiles)
+        return dx.transpose(3, 0, 1, 2)
 
 
-def _pool_tiles(win, out, first):
-    """Each (C, H/k, k, W/k, k, N) tile's maximum into ``out`` and, unless
-    ``first`` is None, the one-hot of each tile's first maximum into
-    ``first``, in the input's layout."""
-    k = win.shape[2]
-    out[...] = win[:, :, 0, :, 0]
-    for i, j in np.ndindex(k, k):
-        np.maximum(out, win[:, :, i, :, j], out=out)
+def _pool_forward(x, out, first, k, stride):
+    """Each window's maximum of the batch-innermost input ``x`` into ``out``
+    and, unless ``first`` is None, each offset's plane of first maxima into
+    ``first``."""
+    out_h, out_w = out.shape[1:3]
+    windows = [window for _, _, window in _windows(k, k, stride, (0, out_h), out_w)]
+    out[...] = x[windows[0]]
+    for window in windows[1:]:
+        np.maximum(out, x[window], out=out)
     if first is None:
         return
     taken = np.zeros(out.shape, dtype=bool)
-    for i, j in np.ndindex(k, k):
-        hit = win[:, :, i, :, j] == out
+    for o, window in enumerate(windows):
+        hit = first[:, o]
+        np.equal(x[window], out, out=hit)
         hit &= ~taken
-        first[:, :, i, :, j] = hit
         taken |= hit
+
+
+def _pool_backward(first, dout, dx, k, stride, tiles):
+    """Each offset's plane of ``first`` times ``dout``, written into its
+    windows of ``dx`` when ``tiles``, else added onto them."""
+    out_h, out_w = dout.shape[1:3]
+    for o, (_, _, window) in enumerate(_windows(k, k, stride, (0, out_h), out_w)):
+        if tiles:
+            np.multiply(first[:, o], dout, out=dx[window])
+        else:
+            dx[window] += first[:, o] * dout
 
 
 class Linear(Layer):

@@ -278,9 +278,10 @@ class ExperimentRun:
         that writes one. With ``reuse`` set, an existing ``artifact`` (plus
         its checkpoint) is read back, the width vector under the key
         ``widths`` must pass ``ArchTemplate.check_widths``, every key in
-        ``keys`` must be present, and only then is the network built and
-        given the checkpoint's weights; a reused file that fails a check is
-        named, with the advice to delete it. Otherwise the dict
+        ``keys`` must be present, and only then is the network built, its
+        widths checked against that vector, and given the checkpoint's
+        weights; a reused file that fails a check is named, with the advice
+        to delete it. Otherwise the dict
         ``compute()`` returns is written atomically. The stage is timed. A PruneKitError that ends the stage
         gets its message prefixed with "<stage> stage: ", and any failure is
         recorded in report.json before it propagates. Returns the artifact,
@@ -307,8 +308,13 @@ class ExperimentRun:
                     if not isinstance(saved, dict) or key not in saved:
                         raise PruneKitError(f"{where} has no {key!r} field")
                 if ckpt is not None:
+                    net = checkpoint[1]()
+                    built = list(net.template.original_structure())
+                    if widths is not None and saved[widths] != built:
+                        raise PruneKitError(
+                            f"{where} has {widths} {saved[widths]}, not this run's {built}")
                     try:
-                        load_model(ckpt, checkpoint[1]())
+                        load_model(ckpt, net)
                     except PruneKitError as exc:
                         exc.args = (f"reused {ckpt}: {exc}",)
                         raise
@@ -409,8 +415,9 @@ class ExperimentRun:
 
     # -- stage 4 ------------------------------------------------------------
     def stage_retrain(self, final_structure):
-        """Retrain ``final_structure`` from fresh weights; a reused final.ckpt
-        must load into that network."""
+        """Retrain ``final_structure`` from fresh weights; a reused
+        retrain.json must hold that structure, and a reused final.ckpt must
+        load into that network."""
         def network():
             pruned = archspec.instantiate(self.template, final_structure)
             return Network(pruned, seed=derive_seed(self.config.seed, "retrain", "init"))
@@ -480,10 +487,9 @@ def run(config: ExperimentConfig, through: str = "report") -> RunReport | dict:
         best, search_saved = runner.stage_search(coarse_structure)
         if last == 2:
             return search_saved
-        final_structure, retrain_saved = runner.stage_retrain(best)
+        _, retrain_saved = runner.stage_retrain(best)
         if last == 3:
             return retrain_saved
-        return runner.stage_report(baseline_meta, coarse_structure, final_structure,
-                                   retrain_saved)
+        return runner.stage_report(baseline_meta, coarse_structure, best, retrain_saved)
     finally:
         os.close(lock)

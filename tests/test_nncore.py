@@ -135,8 +135,8 @@ class TestForward:
 
 
 class TestKernels:
-    """The im2col/col2im pair, Conv.backward and both MaxPool paths against
-    loop oracles, in float64."""
+    """The im2col/col2im pair, Conv.backward and MaxPool against loop
+    oracles, in float64."""
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_im2col_layout_and_col2im_adjoint(self, stride, padding):
@@ -172,8 +172,10 @@ class TestKernels:
         if bias:
             np.testing.assert_allclose(conv.d_bias, want_db, rtol=1e-10, atol=1e-12)
 
-    # (2, 2) on even sides pools by reshape; the others take the im2col path
-    @pytest.mark.parametrize("kernel,stride,h,w", [(2, 2, 4, 6), (3, 2, 5, 7), (2, 2, 5, 5)])
+    # (2, 2) on even sides tiles the input; (2, 2) on odd sides leaves cells
+    # in no window; the others overlap, so their gradients are added
+    @pytest.mark.parametrize("kernel,stride,h,w", [(2, 2, 4, 6), (3, 2, 5, 7), (2, 2, 5, 5),
+                                                   (3, 1, 6, 6), (2, 1, 5, 5)])
     def test_maxpool_matches_loop_oracle_with_ties(self, kernel, stride, h, w):
         rng = np.random.default_rng(kernel * 100 + h)
         # values from {0, 1, 2} make most windows hold tied maxima
@@ -195,6 +197,24 @@ class TestKernels:
         want = np.zeros_like(x)
         want[0, 0, ::stride, ::stride][:out.shape[2], :out.shape[3]] = 1.0
         np.testing.assert_array_equal(dx, want)
+
+    @pytest.mark.parametrize("kernel,stride,negative", [(2, 2, True), (3, 1, False)])
+    def test_maxpool_signed_zeros_of_unpicked_cells(self, kernel, stride, negative):
+        """Given a gradient of -1, the cells no window picks get -0.0 where
+        the windows tile the input (a product 0 * -1) and +0.0 where they
+        overlap (sums onto zeros). Checkpoint bytes rest on these signs."""
+        x = np.random.default_rng(11).uniform(0, 1, size=(2, 1, 4, 4))
+        # each corner lies in one window and is its maximum
+        x[:, :, ::3, ::3] = [[10.0, 11.0], [12.0, 13.0]]
+        pool = MaxPool(kernel, stride)
+        out = pool.forward(x, train=True)
+        dx = pool.backward(-np.ones_like(out))
+        corners = np.zeros(x.shape, dtype=bool)
+        corners[:, :, ::3, ::3] = True
+        assert np.all(dx[corners] == -1.0)
+        unpicked = dx[~corners]
+        assert unpicked.size == 24 and np.all(unpicked == 0.0)
+        assert np.all(np.signbit(unpicked) == negative)
 
     def test_no_forward_cache_survives_backward(self):
         net = Network(small_conv_template(), seed=0)  # one layer of every kind
@@ -495,8 +515,8 @@ LAYOUT_CASES = {
     "conv-s2-p1": (lambda: make_conv(2, 1), (2, 3, 6, 5)),
     "batchnorm": (lambda: BatchNorm(3, np.float32), (4, 3, 5, 6)),
     "relu": (ReLU, (2, 3, 4, 5)),
-    "maxpool-reshape": (lambda: MaxPool(2, 2), (2, 3, 4, 6)),
-    "maxpool-im2col": (lambda: MaxPool(3, 2), (2, 3, 5, 7)),
+    "maxpool-tiling": (lambda: MaxPool(2, 2), (2, 3, 4, 6)),
+    "maxpool-overlapping": (lambda: MaxPool(3, 2), (2, 3, 5, 7)),
     "linear-4d": (lambda: Linear(3 * 4 * 5, 6, True, np.random.default_rng(4), np.float32),
                   (2, 3, 4, 5)),
 }
@@ -1243,6 +1263,7 @@ class TestChannelBands:
         y = batch_innermost(normal(batch, out_c, side, side))
         dy = batch_innermost(normal(batch, out_c, side, side))
         dpool = batch_innermost(normal(batch, out_c, side // 2, side // 2))
+        dpool3 = batch_innermost(normal(batch, out_c, (side - 1) // 2, (side - 1) // 2))
         dcols = normal(in_c * 9, side * side * batch)
         xpad = layers._pad(x.transpose(1, 2, 3, 0), 1)
         window = next(w for i, j, w in layers._windows(3, 3, 1, (0, side), side) if (i, j) == (2, 1))
@@ -1281,9 +1302,15 @@ class TestChannelBands:
             return [out, act.backward(dy), act.forward(y, False)]
 
         def maxpool():
-            pool = MaxPool(2, 2)
-            out = pool.forward(y, True)
-            return [out, pool.backward(dpool), pool.forward(y, False)]
+            pools = [(MaxPool(2, 2), dpool)]
+            if side >= 3:
+                # an overlapping pool too, whose gradients are added
+                pools.append((MaxPool(3, 2), dpool3))
+            made = []
+            for pool, d in pools:
+                out = pool.forward(y, True)
+                made += [out, pool.backward(d), pool.forward(y, False)]
+            return made
 
         def sgd_update():
             for name, p in start.items():

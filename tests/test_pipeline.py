@@ -644,6 +644,29 @@ class TestResumeChecks:
         pipeline.run(config)
         assert_same_run(config, before)
 
+    def test_retrain_json_of_another_structure_names_the_file_to_delete(self, desk_run_pair,
+                                                                        tmp_path):
+        """A reused retrain.json must hold the search's best structure, even
+        when final.ckpt is the one the search's structure trained."""
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        path = os.path.join(config.run_dir(), "retrain.json")
+        saved = json.loads(before["retrain.json"])
+        best = json.loads(before["search.json"])["best"]
+        assert saved["structure"] == best != [1, 1, 1, 1]
+        saved["structure"] = [1, 1, 1, 1]
+        Path(path).write_text(json.dumps(saved))
+        edited = Path(path).read_bytes()
+        with pytest.raises(PruneKitError, match=(
+                rf"^retrain stage: reused {re.escape(path)} has structure \[1, 1, 1, 1\], "
+                rf"not this run's {re.escape(str(best))}; delete it to recompute$")):
+            pipeline.run(config)
+        assert RunReport.load(os.path.join(config.run_dir(), "report.json")).failed_stage \
+            == "retrain"
+        assert Path(path).read_bytes() == edited
+        os.remove(path)
+        pipeline.run(config)
+        assert_same_run(config, before)
+
     def test_foreign_final_checkpoint_names_the_file_to_delete(self, desk_run_pair, tmp_path):
         config, before = copy_of_finished_run(desk_run_pair, tmp_path)
         ckpt = os.path.join(config.run_dir(), "final.ckpt")
