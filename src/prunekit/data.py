@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundsError, DataFormatError
+from .util import sha256_hex
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 pixel bytes
 CIFAR_CLASSES = 10
@@ -44,7 +45,8 @@ class Dataset:
         return (c, w, h)
 
 
-def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
+def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray, str]:
+    """The file's images, its labels and the sha256 of its bytes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) == 0:
@@ -64,7 +66,7 @@ def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
             offset=first * CIFAR_RECORD_BYTES)
     # pixel block: 1024 red, 1024 green, 1024 blue, each row-major 32x32
     images = raw[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
-    return images, labels
+    return images, labels, sha256_hex(blob)
 
 
 def _standardize(train_images, test_images):
@@ -78,21 +80,21 @@ def _standardize(train_images, test_images):
 
 
 def load_cifar10(root) -> tuple[Dataset, Dataset]:
-    """Parse the binary-version CIFAR-10 batches found under ``root``."""
-    train_parts = []
-    for name in CIFAR_TRAIN_FILES:
+    """Parse the binary-version CIFAR-10 batches found under ``root``. The
+    metadata's ``file_sha256`` maps each batch's path to the sha256 of the
+    bytes parsed."""
+    parts = {}
+    for name in (*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE):
         path = os.path.join(root, name)
         if not os.path.exists(path):
             raise DataFormatError(f"missing CIFAR-10 batch {path}")
-        train_parts.append(_parse_cifar_file(path))
-    test_path = os.path.join(root, CIFAR_TEST_FILE)
-    if not os.path.exists(test_path):
-        raise DataFormatError(f"missing CIFAR-10 batch {test_path}")
-    test_images, test_labels = _parse_cifar_file(test_path)
+        parts[path] = _parse_cifar_file(path)
+    *train_parts, (test_images, test_labels, _) = parts.values()
     train_images = np.concatenate([p[0] for p in train_parts], axis=0)
     train_labels = np.concatenate([p[1] for p in train_parts], axis=0)
     train_images, test_images, mean, std = _standardize(train_images, test_images)
-    meta = {"name": "cifar10", "standardize_mean": mean, "standardize_std": std}
+    meta = {"name": "cifar10", "standardize_mean": mean, "standardize_std": std,
+            "file_sha256": {path: part[2] for path, part in parts.items()}}
     return (Dataset(train_images, train_labels, CIFAR_CLASSES, dict(meta)),
             Dataset(test_images, test_labels, CIFAR_CLASSES, dict(meta)))
 

@@ -9,9 +9,11 @@ by a hash of the experiment configuration plus the seed:
     4. retrain    final structure from scratch               final.ckpt
     5. report     JSON + table                               report.json / report.txt
 
-Every run reuses each stage whose artifact is there (a torn one is an error
-naming it; delete it to recompute), and an interrupted search replays its
-trace. Each stage is deterministic given the config and seed, so a rerun
+Each stage's JSON, written last, records the sha256 of every file the stage
+read, of every other file it wrote and of its own other keys. A stage is
+reused only when each matches, else an error names the file to delete; a
+missing JSON or written file recomputes it. An interrupted search replays
+its trace. Each stage is deterministic given the config and seed, so a rerun
 ends in the uninterrupted run's files; the report, which may hold a failure
 record, is always rewritten. One run at a time holds a run directory.
 
@@ -25,6 +27,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from pathlib import Path
 
 import yaml
 
@@ -239,9 +242,8 @@ class ExperimentRun:
         self.run_dir = config.run_dir()
         cfg = config.dataset
         self.template = archspec.get_template(config.template, num_classes=cfg.num_classes)
-        spec = None
-        if cfg.name == "synthetic":
-            spec = cfg.synthetic_spec(derive_seed(config.seed, "data"))
+        spec = cfg.synthetic_spec(derive_seed(config.seed, "data")) \
+            if cfg.name == "synthetic" else None
         self.train_set, self.test_set = data.load_dataset(cfg.path, cfg.name, synthetic_spec=spec)
         if tuple(self.train_set.input_shape) != tuple(self.template.input_shape):
             raise PruneKitError(
@@ -270,66 +272,68 @@ class ExperimentRun:
             config_hash=self.config.config_hash(), seed=self.config.seed,
             **fields)
 
-    def _stage(self, stage, artifact, compute, reuse=True, checkpoint=None,
-               widths=None, keys=()):
-        """Run one stage: reuse its checked artifact, or compute it and write it.
+    def _digests(self, *names) -> dict:
+        """The sha256 of each named run-directory file; None for one not there."""
+        return {name: sha256_hex(Path(self.path(name)).read_bytes())
+                if os.path.exists(self.path(name)) else None for name in names}
 
-        ``checkpoint`` is the (file name, network builder) pair of a stage
-        that writes one. With ``reuse`` set, an existing ``artifact`` (plus
-        its checkpoint) is read back, the width vector under the key
-        ``widths`` must pass ``ArchTemplate.check_widths``, every key in
-        ``keys`` must be present, and only then is the network built, its
-        widths checked against that vector, and given the checkpoint's
-        weights; a reused file that fails a check is named, with the advice
-        to delete it. Otherwise the dict
-        ``compute()`` returns is written atomically. The stage is timed. A PruneKitError that ends the stage
-        gets its message prefixed with "<stage> stage: ", and any failure is
-        recorded in report.json before it propagates. Returns the artifact,
-        preceded by its width vector as a tuple if ``widths`` is set.
+    def _reused(self, artifact, reads, written) -> dict:
+        """The artifact's dict, once each digest it records matches: of its
+        other keys, then of ``reads`` and ``written`` (name -> sha256 now).
+        An error names the file to delete: the one that differs, or for a
+        read file the first one written, so no trace of other inputs replays."""
+        path = self.path(artifact)
+        try:
+            saved = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise PruneKitError(
+                f"reused {path}: not valid JSON: {exc}; delete it to recompute") from exc
+        recorded = saved.get("digests") if isinstance(saved, dict) else None
+        if not isinstance(recorded, dict):
+            raise PruneKitError(f"reused {path}: records no digests; delete it to recompute")
+        rest = {key: value for key, value in saved.items() if key != "digests"}
+        for name, digest in {artifact: sha256_hex(canonical_json(rest)),
+                             **reads, **written}.items():
+            if recorded.get(name) != digest:
+                delete = next(iter(written), artifact) if name in reads else name
+                raise PruneKitError(
+                    f"reused {self.path(delete)}: the digest {artifact} records for {name} "
+                    "does not match; delete it to recompute")
+        return saved
+
+    def _stage(self, stage, artifact, compute, reads=None, writes=(), reuse=True, load=None):
+        """Run one stage: reuse its artifact, or compute it and write it.
+
+        ``reads`` maps each file the stage reads to its sha256 now; ``writes``
+        names the other files it writes. With ``reuse`` set, an artifact that
+        is there with every file of ``writes`` is reused if ``_reused`` passes
+        it, and ``load()`` is called. Else the dict ``compute()`` returns, with
+        ``digests`` of the reads, the writes and its own other keys unless
+        ``reads`` is None (the report), is written atomically, last. The stage
+        is timed; a PruneKitError that ends it gets the prefix "<stage> stage: ",
+        and any failure is recorded in report.json before it propagates.
         """
         start = time.perf_counter()
-        path = self.path(artifact)
-        ckpt = self.path(checkpoint[0]) if checkpoint else None
-        reused = reuse and os.path.exists(path) and (ckpt is None or os.path.exists(ckpt))
         try:
-            if reused:
-                where = f"reused {path}"
-                try:
-                    with open(path) as fh:
-                        saved = json.load(fh)
-                except ValueError as exc:
-                    raise PruneKitError(f"{where} is not valid JSON: {exc}") from exc
-                if widths is not None:
-                    vector = saved.get(widths) if isinstance(saved, dict) else None
-                    if not isinstance(vector, list):
-                        raise PruneKitError(f"{where} has no {widths!r} list of widths")
-                    self.template.check_widths(vector, where)
-                for key in keys:
-                    if not isinstance(saved, dict) or key not in saved:
-                        raise PruneKitError(f"{where} has no {key!r} field")
-                if ckpt is not None:
-                    net = checkpoint[1]()
-                    built = list(net.template.original_structure())
-                    if widths is not None and saved[widths] != built:
-                        raise PruneKitError(
-                            f"{where} has {widths} {saved[widths]}, not this run's {built}")
-                    try:
-                        load_model(ckpt, net)
-                    except PruneKitError as exc:
-                        exc.args = (f"reused {ckpt}: {exc}",)
-                        raise
+            written = self._digests(*writes)
+            if reuse and os.path.exists(self.path(artifact)) and None not in written.values():
+                saved = self._reused(artifact, reads, written)
+                if load is not None:
+                    load()
             else:
                 saved = compute()
-                write_text_atomic(path, json.dumps(saved, indent=2) + "\n")
+                if reads is not None:
+                    saved["digests"] = {**reads, **self._digests(*writes),
+                                        artifact: sha256_hex(canonical_json(saved))}
+                write_text_atomic(self.path(artifact), json.dumps(saved, indent=2) + "\n")
         except Exception as exc:
             if isinstance(exc, PruneKitError):
-                advice = "; delete it to recompute" if reused else ""
-                exc.args = (f"{stage} stage: {exc}{advice}",)
+                exc.args = (f"{stage} stage: {exc}",)
             self._report(coarse_structure=[], final_structure=[], failed_stage=stage,
                          error=f"{type(exc).__name__}: {exc}").save(self.path("report.json"))
             raise
         self.stage_seconds[stage] = time.perf_counter() - start
-        return saved if widths is None else (tuple(saved[widths]), saved)
+        return saved
 
     def _fit(self, net, tag, epochs, trace, checkpoint) -> dict:
         """Train ``net`` with stage ``tag``'s seed, writing the CSV ``trace``
@@ -349,7 +353,8 @@ class ExperimentRun:
 
     # -- stage 1 ------------------------------------------------------------
     def stage_baseline(self):
-        """Train the full-width model, or load it if this run dir has one."""
+        """Train the full-width model, or load the one this run dir holds.
+        A CIFAR-10 run reads its batch files."""
         net = Network(self.template, seed=derive_seed(self.config.seed, "baseline", "init"))
 
         def compute():
@@ -357,8 +362,9 @@ class ExperimentRun:
             return {**self._fit(net, "baseline", epochs, "baseline_trace.csv", "baseline.ckpt"),
                     "epochs": epochs, "weight_init": "kaiming-fan-in"}
         meta = self._stage("baseline", "baseline.json", compute,
-                           checkpoint=("baseline.ckpt", lambda: net),
-                           keys=("accuracy", "params", "flops", "epochs"))
+                           reads=self.train_set.metadata.get("file_sha256", {}),
+                           writes=("baseline.ckpt", "baseline_trace.csv"),
+                           load=lambda: load_model(self.path("baseline.ckpt"), net))
         return net, meta
 
     # -- stage 2 ------------------------------------------------------------
@@ -371,10 +377,8 @@ class ExperimentRun:
         def compute():
             samples = data.sample_images(self.train_set, self.config.sample_count,
                                          derive_seed(self.config.seed, "sample"))
-            sink = None
-            if csvs:
-                def sink(slot, sim):
-                    featstats.dump_similarity_csv(csvs[slot], sim)
+            sink = (lambda slot, sim: featstats.dump_similarity_csv(csvs[slot], sim)) \
+                if csvs else None
             structure, reports = cluster.coarse_prune(
                 self.template, net, samples, self.config.neighborhood(),
                 similarity_sink=sink)
@@ -387,7 +391,8 @@ class ExperimentRun:
                 "layers": [r.to_dict() for r in reports],
             }
         return self._stage("coarse", "coarse.json", compute,
-                           reuse=all(map(os.path.exists, csvs.values())), widths="structure")
+                           reads=self._digests("baseline.json", "baseline.ckpt"),
+                           reuse=all(map(os.path.exists, csvs.values())))
 
     # -- stage 3 ------------------------------------------------------------
     def stage_search(self, coarse_structure):
@@ -396,8 +401,7 @@ class ExperimentRun:
             if swarm_cfg.seed is None:
                 swarm_cfg = replace(swarm_cfg, seed=derive_seed(self.config.seed, "search"))
             evaluator = swarm.ProxyFitnessEvaluator(
-                self.template,
-                self.train_set.images, self.train_set.labels,
+                self.template, self.train_set.images, self.train_set.labels,
                 self.test_set.images, self.test_set.labels,
                 self.config.trainer.train_config(
                     swarm_cfg.proxy_epochs, derive_seed(self.config.seed, "proxy")))
@@ -411,19 +415,16 @@ class ExperimentRun:
                 "history": [list(h) for h in result.history],
                 "evaluations": result.evaluations,
             }
-        return self._stage("search", "search.json", compute, widths="best")
+        return self._stage("search", "search.json", compute,
+                           reads=self._digests("coarse.json"),
+                           writes=("swarm_trace.jsonl", "swarm_state.json"))
 
     # -- stage 4 ------------------------------------------------------------
     def stage_retrain(self, final_structure):
-        """Retrain ``final_structure`` from fresh weights; a reused
-        retrain.json must hold that structure, and a reused final.ckpt must
-        load into that network."""
-        def network():
-            pruned = archspec.instantiate(self.template, final_structure)
-            return Network(pruned, seed=derive_seed(self.config.seed, "retrain", "init"))
-
+        """Retrain ``final_structure`` from fresh weights."""
         def compute():
-            net = network()
+            net = Network(archspec.instantiate(self.template, final_structure),
+                          seed=derive_seed(self.config.seed, "retrain", "init"))
             epochs = retrain_epochs(self.config.baseline_epochs,
                                     archspec.flops_count(self.template),
                                     archspec.flops_count(net.template))
@@ -431,8 +432,8 @@ class ExperimentRun:
                     **self._fit(net, "retrain", epochs, "final_trace.csv", "final.ckpt"),
                     "retrain_epochs": epochs}
         return self._stage("retrain", "retrain.json", compute,
-                           checkpoint=("final.ckpt", network), widths="structure",
-                           keys=("accuracy", "params", "flops", "retrain_epochs"))
+                           reads=self._digests("search.json"),
+                           writes=("final.ckpt", "final_trace.csv"))
 
     # -- stage 5 ------------------------------------------------------------
     def stage_report(self, baseline_meta, coarse_structure, final_structure, retrain_saved):
@@ -446,10 +447,8 @@ class ExperimentRun:
                 final={**{k: retrain_saved[k] for k in ("accuracy", "params", "flops")},
                        "param_drop_percent": param_drop, "flop_drop_percent": flop_drop},
                 retrain_epochs=retrain_saved["retrain_epochs"],
-                normalization={
-                    "mean": self.train_set.metadata.get("standardize_mean"),
-                    "std": self.train_set.metadata.get("standardize_std"),
-                })
+                normalization={key: self.train_set.metadata.get(f"standardize_{key}")
+                               for key in ("mean", "std")})
             write_text_atomic(self.path("report.txt"), render_table(report))
             return report.to_dict()
         return RunReport.from_dict(self._stage("report", "report.json", compute, reuse=False))
@@ -481,15 +480,16 @@ def run(config: ExperimentConfig, through: str = "report") -> RunReport | dict:
         net, baseline_meta = runner.stage_baseline()
         if last == 0:
             return baseline_meta
-        coarse_structure, coarse_saved = runner.stage_coarse(net)
+        coarse = runner.stage_coarse(net)
         if last == 1:
-            return coarse_saved
-        best, search_saved = runner.stage_search(coarse_structure)
+            return coarse
+        search = runner.stage_search(coarse["structure"])
         if last == 2:
-            return search_saved
-        _, retrain_saved = runner.stage_retrain(best)
+            return search
+        retrain_saved = runner.stage_retrain(search["best"])
         if last == 3:
             return retrain_saved
-        return runner.stage_report(baseline_meta, coarse_structure, best, retrain_saved)
+        return runner.stage_report(baseline_meta, coarse["structure"], search["best"],
+                                   retrain_saved)
     finally:
         os.close(lock)

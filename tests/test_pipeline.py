@@ -405,18 +405,28 @@ class TestKilledWriteLitter:
             RunReport.from_dict(json.loads(before["report.json"])).comparable_dict()
 
 
+def load_crash_sweep():
+    spec = importlib.util.spec_from_file_location(
+        "crash_sweep", Path(__file__).resolve().parent.parent / "scripts" / "crash_sweep.py")
+    crash_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(crash_sweep)
+    return crash_sweep
+
+
 class TestCrashSweep:
     def test_an_error_at_each_write_point_resumes_to_the_same_files(self, tmp_path):
         """An OSError in place of each atomic write and each trace record of
         a small run, in turn; each crashed run, resumed, holds the
         uninterrupted run's files (scripts/crash_sweep.py; CI runs its
         SIGKILL form)."""
-        spec = importlib.util.spec_from_file_location(
-            "crash_sweep", Path(__file__).resolve().parent.parent / "scripts" / "crash_sweep.py")
-        crash_sweep = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(crash_sweep)
-        count, failures = crash_sweep.sweep(tmp_path, log=lambda line: None)
+        count, failures = load_crash_sweep().sweep(tmp_path, log=lambda line: None)
         assert count and not failures, failures
+
+    def test_each_damaged_file_stops_naming_it_or_resumes_to_the_same_files(self, tmp_path):
+        """Each file of the small run, cut, flipped, swapped for another
+        seed's or deleted in turn (scripts/crash_sweep.py --damage)."""
+        count, failures = load_crash_sweep().damage_sweep(tmp_path, log=lambda line: None)
+        assert count == 40 and not failures, failures
 
 
 def trace_structures(config):
@@ -531,60 +541,78 @@ class TestFailureRecording:
         assert "coarse" in report.stage_seconds
 
 
+def rewrite(config, name, data):
+    """Write ``data`` (bytes, or a dict as JSON) over run-directory file
+    ``name``; returns the file's path and its new bytes."""
+    path = os.path.join(config.run_dir(), name)
+    if isinstance(data, dict):
+        data = (json.dumps(data, indent=2) + "\n").encode()
+    Path(path).write_bytes(data)
+    return path, data
+
+
+def edit_json(config, before, name, change):
+    """Rewrite run-directory JSON ``name`` as ``change`` leaves its dict."""
+    saved = json.loads(before[name])
+    change(saved)
+    return rewrite(config, name, saved)
+
+
+def assert_stops(config, stage, path, damaged, problem=".*"):
+    """A rerun stops at ``stage`` with an error naming ``path`` as the file
+    to delete, records the stage as failed and leaves ``path`` holding
+    ``damaged``."""
+    with pytest.raises(PruneKitError, match=(
+            rf"^{stage} stage: reused {re.escape(path)}: {problem}; delete it to recompute$")):
+        pipeline.run(config)
+    assert RunReport.load(os.path.join(config.run_dir(), "report.json")).failed_stage == stage
+    assert Path(path).read_bytes() == damaged
+
+
+def assert_recomputed_without(config, before, path):
+    """Once ``path`` is deleted, a rerun ends in the files ``before`` holds."""
+    os.remove(path)
+    pipeline.run(config)
+    assert_same_run(config, before)
+
+
+def own_digest_differs(name):
+    return rf"the digest {re.escape(name)} records for {re.escape(name)} does not match"
+
+
 class TestResumeChecks:
-    """A reused coarse.json, search.json or retrain.json must hold one width
-    per prunable slot, each within [1, original]; otherwise the stage names
-    the file."""
+    """A stage is reused only when each sha256 its JSON records matches: of
+    the JSON's other keys, of each file the stage read and of each other
+    file it wrote. An edited or foreign file stops the run with an error
+    naming the file whose deletion recomputes the stage (the damage sweep
+    deletes it in every case and checks the rerun's files)."""
 
-    def write_artifact(self, run, name, key, widths):
-        with open(run.path(name), "w") as fh:
-            json.dump({key: widths}, fh)
+    def test_truncated_coarse_json(self, desk_run_pair, tmp_path):
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        path, damaged = edit_json(config, before, "coarse.json",
+                                  lambda saved: saved["structure"].pop())
+        assert_stops(config, "coarse", path, damaged, own_digest_differs("coarse.json"))
 
-    def test_truncated_coarse_json(self, tmp_path):
-        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
-        original = list(run.template.original_structure())
-        self.write_artifact(run, "coarse.json", "structure", original[:-1])
-        with pytest.raises(PruneKitError, match=(
-                rf"coarse stage: reused .*coarse\.json holds {len(original) - 1} "
-                rf"widths, expected {len(original)}")):
-            run.stage_coarse(None)
-        report = RunReport.load(run.path("report.json"))
-        assert report.failed_stage == "coarse"
-
-    def test_over_wide_search_json(self, tmp_path):
-        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
-        widths = list(run.template.original_structure())
+    def test_over_wide_search_json(self, desk_run_pair, tmp_path):
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        widths = list(archspec.get_template("tiny4").original_structure())
         widths[2] += 1
-        self.write_artifact(run, "search.json", "best", widths)
-        with pytest.raises(PruneKitError, match=(
-                rf"search stage: reused .*search\.json: width {widths[2]} of slot 2 "
-                rf"is outside \[1, {widths[2] - 1}\]")):
-            run.stage_search(None)
+        path, damaged = edit_json(config, before, "search.json",
+                                  lambda saved: saved.update(best=widths))
+        assert_stops(config, "search", path, damaged, own_digest_differs("search.json"))
 
-    def write_retrain(self, run, widths):
-        self.write_artifact(run, "retrain.json", "structure", widths)
-        open(run.path("final.ckpt"), "wb").close()
+    def test_truncated_retrain_json(self, desk_run_pair, tmp_path):
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        path, damaged = edit_json(config, before, "retrain.json",
+                                  lambda saved: saved["structure"].pop())
+        assert_stops(config, "retrain", path, damaged, own_digest_differs("retrain.json"))
 
-    def test_truncated_retrain_json(self, tmp_path):
-        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
-        original = list(run.template.original_structure())
-        self.write_retrain(run, original[:-1])
-        with pytest.raises(PruneKitError, match=(
-                rf"retrain stage: reused .*retrain\.json holds {len(original) - 1} "
-                rf"widths, expected {len(original)}")):
-            run.stage_retrain(None)
-        report = RunReport.load(run.path("report.json"))
-        assert report.failed_stage == "retrain"
-
-    def test_over_wide_retrain_json(self, tmp_path):
-        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
-        widths = list(run.template.original_structure())
-        widths[0] = 999
-        self.write_retrain(run, widths)
-        with pytest.raises(PruneKitError, match=(
-                rf"retrain stage: reused .*retrain\.json: width 999 of slot 0 "
-                rf"is outside \[1, {run.template.original_structure()[0]}\]")):
-            run.stage_retrain(None)
+    def test_over_wide_retrain_json(self, desk_run_pair, tmp_path):
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        path, damaged = edit_json(
+            config, before, "retrain.json",
+            lambda saved: saved.update(structure=[999, *saved["structure"][1:]]))
+        assert_stops(config, "retrain", path, damaged, own_digest_differs("retrain.json"))
 
     @pytest.mark.parametrize("stage,name,text", [
         ("baseline", "baseline.json", "{"),
@@ -595,98 +623,140 @@ class TestResumeChecks:
         ("retrain", "retrain.json", "{"),
         ("retrain", "retrain.json", '{"best": [1, 1, 1, 1]}'),
     ])
-    def test_malformed_artifact_names_stage_and_file(self, tmp_path, stage, name, text):
-        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
-        with open(run.path(name), "w") as fh:
-            fh.write(text)
-        for ckpt in ("baseline.ckpt", "final.ckpt"):
-            open(run.path(ckpt), "wb").close()
-        call = {"baseline": lambda: run.stage_baseline(),
-                "coarse": lambda: run.stage_coarse(None),
-                "search": lambda: run.stage_search(None),
-                "retrain": lambda: run.stage_retrain(None)}[stage]
-        with pytest.raises(PruneKitError, match=rf"{stage} stage: reused .*{name}"):
-            call()
-        assert RunReport.load(run.path("report.json")).failed_stage == stage
+    def test_malformed_artifact_names_stage_and_file(self, desk_run_pair, tmp_path,
+                                                     stage, name, text):
+        """A torn JSON, and one without digests (as every JSON written
+        before they were recorded), stop the run naming the file."""
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        path, damaged = rewrite(config, name, text.encode())
+        problem = "not valid JSON: .*" if text == "{" else "records no digests"
+        assert_stops(config, stage, path, damaged, problem)
 
     @pytest.mark.parametrize("name,key", [("retrain.json", "accuracy"),
                                           ("baseline.json", "epochs")])
     def test_reused_artifact_missing_a_report_field(self, desk_run_pair, tmp_path,
                                                     name, key):
-        finished = desk_run_pair["config_a"]
-        config = desk_experiment_config(tmp_path / "copy")
-        shutil.copytree(finished.run_dir(), config.run_dir())
-        path = os.path.join(config.run_dir(), name)
-        with open(path) as fh:
-            saved = json.load(fh)
-        del saved[key]
-        with open(path, "w") as fh:
-            json.dump(saved, fh)
-        stage = name.split(".")[0]
-        with pytest.raises(PruneKitError, match=rf"{stage} stage: reused .*{name}.*{key}"):
-            pipeline.run(config)
-        report = RunReport.load(os.path.join(config.run_dir(), "report.json"))
-        assert report.failed_stage == stage
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        path, damaged = edit_json(config, before, name, lambda saved: saved.pop(key))
+        assert_stops(config, name.split(".")[0], path, damaged, own_digest_differs(name))
 
     @pytest.mark.parametrize("stage,name", [("baseline", "baseline.ckpt"),
                                             ("retrain", "final.ckpt")])
     def test_torn_checkpoint_names_the_file_to_delete(self, desk_run_pair, tmp_path,
                                                       stage, name):
         config, before = copy_of_finished_run(desk_run_pair, tmp_path)
-        ckpt = os.path.join(config.run_dir(), name)
-        Path(ckpt).write_bytes(before[name][:100])
-        with pytest.raises(PruneKitError, match=(
-                rf"^{stage} stage: reused {re.escape(ckpt)}: checkpoint truncated .*"
-                rf"; delete it to recompute$")):
-            pipeline.run(config)
-        assert Path(ckpt).read_bytes() == before[name][:100]
-        os.remove(ckpt)
-        pipeline.run(config)
-        assert_same_run(config, before)
+        path, damaged = rewrite(config, name, before[name][:100])
+        artifact = {"baseline": "baseline.json", "retrain": "retrain.json"}[stage]
+        assert_stops(
+            config, stage, path, damaged,
+            rf"the digest {artifact} records for {re.escape(name)} does not match")
+        assert_recomputed_without(config, before, path)
 
     def test_retrain_json_of_another_structure_names_the_file_to_delete(self, desk_run_pair,
                                                                         tmp_path):
-        """A reused retrain.json must hold the search's best structure, even
-        when final.ckpt is the one the search's structure trained."""
+        """A reused retrain.json must be the one the search's structure
+        trained, even when final.ckpt is."""
         config, before = copy_of_finished_run(desk_run_pair, tmp_path)
-        path = os.path.join(config.run_dir(), "retrain.json")
-        saved = json.loads(before["retrain.json"])
-        best = json.loads(before["search.json"])["best"]
-        assert saved["structure"] == best != [1, 1, 1, 1]
-        saved["structure"] = [1, 1, 1, 1]
-        Path(path).write_text(json.dumps(saved))
-        edited = Path(path).read_bytes()
-        with pytest.raises(PruneKitError, match=(
-                rf"^retrain stage: reused {re.escape(path)} has structure \[1, 1, 1, 1\], "
-                rf"not this run's {re.escape(str(best))}; delete it to recompute$")):
-            pipeline.run(config)
-        assert RunReport.load(os.path.join(config.run_dir(), "report.json")).failed_stage \
-            == "retrain"
-        assert Path(path).read_bytes() == edited
-        os.remove(path)
-        pipeline.run(config)
-        assert_same_run(config, before)
+        assert json.loads(before["retrain.json"])["structure"] == \
+            json.loads(before["search.json"])["best"] != [1, 1, 1, 1]
+        path, damaged = edit_json(config, before, "retrain.json",
+                                  lambda saved: saved.update(structure=[1, 1, 1, 1]))
+        assert_stops(config, "retrain", path, damaged, own_digest_differs("retrain.json"))
+        assert_recomputed_without(config, before, path)
 
     def test_foreign_final_checkpoint_names_the_file_to_delete(self, desk_run_pair, tmp_path):
         config, before = copy_of_finished_run(desk_run_pair, tmp_path)
-        ckpt = os.path.join(config.run_dir(), "final.ckpt")
-        shutil.copyfile(os.path.join(config.run_dir(), "baseline.ckpt"), ckpt)
-        with pytest.raises(PruneKitError, match=(
-                rf"^retrain stage: reused {re.escape(ckpt)}: checkpoint was written for "
-                rf"template .*; delete it to recompute$")):
-            pipeline.run(config)
-        assert Path(ckpt).read_bytes() == before["baseline.ckpt"]
-        os.remove(ckpt)
+        path, damaged = rewrite(config, "final.ckpt", before["baseline.ckpt"])
+        assert_stops(
+            config, "retrain", path, damaged,
+            r"the digest retrain\.json records for final\.ckpt does not match")
+        assert_recomputed_without(config, before, path)
+
+    def test_valid_artifacts_are_reused(self, desk_run_pair, tmp_path, monkeypatch):
+        """A run's own artifacts are reused, and nothing is trained."""
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        trained = spy_on_training(monkeypatch)
         pipeline.run(config)
+        assert trained == []
         assert_same_run(config, before)
 
-    def test_valid_artifacts_are_reused(self, tmp_path):
-        run = pipeline.ExperimentRun(desk_experiment_config(tmp_path))
-        widths = [1] * len(run.template.prunable_slots)
-        self.write_artifact(run, "coarse.json", "structure", widths)
-        self.write_artifact(run, "search.json", "best", widths)
-        assert tuple(run.stage_coarse(None)[0]) == tuple(widths)
-        assert tuple(run.stage_search(None)[0]) == tuple(widths)
+
+class TestDamageCaught:
+    """Edits that a rerun once took as they were: each now stops the run
+    with an error naming a file."""
+
+    def test_coarse_structure_edited(self, desk_run_pair, tmp_path):
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        path, damaged = edit_json(config, before, "coarse.json",
+                                  lambda saved: saved.update(structure=[4, 4, 4, 4]))
+        assert_stops(config, "coarse", path, damaged, own_digest_differs("coarse.json"))
+
+    def test_baseline_accuracy_edited(self, desk_run_pair, tmp_path):
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        path, damaged = edit_json(config, before, "baseline.json",
+                                  lambda saved: saved.update(accuracy=0.01))
+        assert_stops(config, "baseline", path, damaged, own_digest_differs("baseline.json"))
+
+    def test_another_seeds_baseline_checkpoint_and_coarse_json(self, desk_run_pair, tmp_path):
+        """The baseline stops on the foreign checkpoint; recomputed, it makes
+        the foreign coarse.json stale, and the coarse stage stops on that."""
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        other = desk_experiment_config(tmp_path / "other", seed=5)
+        pipeline.run(other, through="coarse")
+        foreign = {name: Path(other.run_dir(), name).read_bytes()
+                   for name in ("baseline.ckpt", "coarse.json")}
+        assert all(foreign[name] != before[name] for name in foreign)
+        ckpt, _ = rewrite(config, "baseline.ckpt", foreign["baseline.ckpt"])
+        coarse, _ = rewrite(config, "coarse.json", foreign["coarse.json"])
+        with pytest.raises(PruneKitError, match=(
+                rf"^baseline stage: reused {re.escape(ckpt)}: the digest baseline\.json "
+                r"records for baseline\.ckpt does not match; delete it to recompute$")):
+            pipeline.run(config)
+        os.remove(ckpt)
+        assert_stops(
+            config, "coarse", coarse, foreign["coarse.json"],
+            r"the digest coarse\.json records for baseline\.json does not match")
+        assert_recomputed_without(config, before, coarse)
+
+    def test_baseline_trace_cut(self, desk_run_pair, tmp_path):
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        kept = b"".join(before["baseline_trace.csv"].splitlines(keepends=True)[:3])
+        path, damaged = rewrite(config, "baseline_trace.csv", kept)
+        assert_stops(
+            config, "baseline", path, damaged,
+            r"the digest baseline\.json records for baseline_trace\.csv does not match")
+
+    def test_changed_cifar_batch_stops_the_baseline(self, tmp_path):
+        """The baseline of a CIFAR-10 run records the sha256 of each batch
+        file, so a run after one changes stops naming it, and names the
+        baseline's checkpoint as the file to delete."""
+        root = tmp_path / "cifar"
+        root.mkdir()
+        write_fake_cifar(root)
+        template = tmp_path / "cifar4.yaml"
+        template.write_text(
+            "input_shape: [3, 32, 32]\nnum_classes: 10\nlayers:\n"
+            "  - {kind: conv, out_channels: 4, kernel: 3, padding: 1}\n"
+            "  - {kind: batchnorm}\n  - {kind: activation}\n"
+            "  - {kind: pool, kernel: 2, stride: 2}\n  - {kind: classifier-head}\n")
+        config = pipeline.config_from_dict({
+            "template": str(template), "out": str(tmp_path / "runs"),
+            "dataset": {"name": "cifar10", "path": str(root), "num_classes": 10},
+            "sample_count": 8, "min_pts": 3, "baseline_epochs": 1,
+            "swarm": {"particles": 2, "iterations": 1, "proxy_epochs": 1},
+            "trainer": {"batch_size": 8}})
+        pipeline.run(config)
+        batch = root / "data_batch_3.bin"
+        data = bytearray(batch.read_bytes())
+        data[1] ^= 1  # a pixel of the first record
+        batch.write_bytes(bytes(data))
+        ckpt = os.path.join(config.run_dir(), "baseline.ckpt")
+        with pytest.raises(PruneKitError, match=(
+                rf"^baseline stage: reused {re.escape(ckpt)}: the digest baseline\.json "
+                rf"records for {re.escape(str(batch))} does not match; delete it to recompute$")):
+            pipeline.run(config)
+        assert RunReport.load(os.path.join(config.run_dir(), "report.json")).failed_stage \
+            == "baseline"
 
 
 def _disk_full(*args):
