@@ -6,6 +6,12 @@ passed on as its (N, C, H, W) view ``buf.transpose(3, 0, 1, 2)``. A layer
 works on ``x.transpose(1, 2, 3, 0)``, which is free for such a view, so
 every window copy and per-channel reduction moves runs of whole batches. A
 C-contiguous (N, C, H, W) input gives the same values at the cost of a copy.
+
+Importing this module, and so importing prunekit, sets the process's
+OpenBLAS to one thread through the library's own setter, whatever its
+thread variables say; large products and per-channel ops are then split
+across the usable CPUs on a shared pool instead. Where no OpenBLAS
+setter is found, nothing splits and BLAS threads as it likes.
 """
 from __future__ import annotations
 
@@ -34,19 +40,41 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _blas_one_thread():
-    """Whether BLAS is pinned to one thread: every one of the variables
-    ``perfbench/run.py`` sets that is set reads 1. With none set, OpenBLAS
-    threads each product itself."""
-    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    values = [os.environ[var] for var in pins if var in os.environ]
-    return bool(values) and all(v.strip() == "1" for v in values)
+def _pin_openblas():
+    """Set the OpenBLAS NumPy loaded to one thread through its own setter,
+    as threadpoolctl does; whether its getter then reads 1.
+
+    The library is found among the files mapped into the process, so False
+    means another BLAS, or no ``/proc``, and BLAS threads as it likes.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return False
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            set_threads = getattr(lib, setter, None)
+            get_threads = getattr(lib, setter.replace("_set_", "_get_"), None)
+            if set_threads is None or get_threads is None:
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads(1)
+            return get_threads() == 1
+    return False
 
 
 # The most pieces an op is split into, and the pool's size plus the caller:
-# the usable CPUs when BLAS runs one thread, else 1, which splits nothing.
-# BLAS reads its thread variables when it loads, so they are read once, here.
-_SPLIT_CPUS = _usable_cpus() if _blas_one_thread() else 1
+# the usable CPUs once OpenBLAS runs one thread, else 1, which splits nothing.
+# OpenBLAS is set to one thread once, here, at import.
+_SPLIT_CPUS = _usable_cpus() if _pin_openblas() else 1
 
 # helper threads, made on the first split and shared, like WORKSPACE, by
 # every op in the process
@@ -98,7 +126,7 @@ def _run_split(fn, pieces):
 
 def _matmul(a, b, out):
     """``np.matmul(a, b, out=out)`` for 2-D operands, with a large product
-    split across the usable CPUs when BLAS runs one thread.
+    split across the usable CPUs once OpenBLAS runs one thread.
 
     The wider output dimension (columns, else rows) is cut into contiguous
     pieces, one per CPU, each of about half ``_SPLIT_MACS`` multiply-adds or
@@ -126,7 +154,7 @@ def _matmul(a, b, out):
 
 def by_channel(fn, arrays, *args):
     """``fn(*arrays, *args)``, with a large op cut into contiguous channel
-    bands across the usable CPUs when BLAS runs one thread.
+    bands across the usable CPUs once OpenBLAS runs one thread.
 
     The first axis of every array in ``arrays`` is the channel axis (a None
     entry stays None), and ``fn`` applied to channel slices of them computes

@@ -12,10 +12,12 @@ by a hash of the experiment configuration plus the seed:
 Each stage's JSON, written last, records the sha256 of every file the stage
 read, of every other file it wrote and of its own other keys. A stage is
 reused only when each matches, else an error names the file to delete; a
-missing JSON or written file recomputes it. An interrupted search replays
-its trace. Each stage is deterministic given the config and seed, so a rerun
-ends in the uninterrupted run's files; the report, which may hold a failure
-record, is always rewritten. One run at a time holds a run directory.
+missing JSON or written file recomputes it, and so does a changed read file
+once an earlier stage of the same run was computed (its written files are
+deleted first). An interrupted search replays its trace. Each stage is
+deterministic given the config and seed, so a rerun ends in the
+uninterrupted run's files; the report, which may hold a failure record, is
+always rewritten. One run at a time holds a run directory.
 
 All stage seeds are derived from the single experiment seed, so one integer
 pins the entire run.
@@ -257,6 +259,9 @@ class ExperimentRun:
         # only a dataset that fits the template gets a run directory
         os.makedirs(self.run_dir, exist_ok=True)
         self.stage_seconds: dict = {}
+        # whether a stage of this run was computed, so a later stage whose
+        # read files changed is computed afresh rather than stopping
+        self.computed = False
 
     def path(self, name: str) -> str:
         return os.path.join(self.run_dir, name)
@@ -277,11 +282,13 @@ class ExperimentRun:
         return {name: sha256_hex(Path(self.path(name)).read_bytes())
                 if os.path.exists(self.path(name)) else None for name in names}
 
-    def _reused(self, artifact, reads, written) -> dict:
+    def _reused(self, artifact, reads, written) -> dict | None:
         """The artifact's dict, once each digest it records matches: of its
         other keys, then of ``reads`` and ``written`` (name -> sha256 now).
-        An error names the file to delete: the one that differs, or for a
-        read file the first one written, so no trace of other inputs replays."""
+        None, to compute the stage afresh, when only read files differ and
+        an earlier stage of this run was computed. Else an error names the
+        file to delete: the one that differs, or for a read file the first
+        one written, so no trace of other inputs replays."""
         path = self.path(artifact)
         try:
             saved = json.loads(Path(path).read_text())
@@ -292,14 +299,18 @@ class ExperimentRun:
         if not isinstance(recorded, dict):
             raise PruneKitError(f"reused {path}: records no digests; delete it to recompute")
         rest = {key: value for key, value in saved.items() if key != "digests"}
-        for name, digest in {artifact: sha256_hex(canonical_json(rest)),
-                             **reads, **written}.items():
-            if recorded.get(name) != digest:
-                delete = next(iter(written), artifact) if name in reads else name
-                raise PruneKitError(
-                    f"reused {self.path(delete)}: the digest {artifact} records for {name} "
-                    "does not match; delete it to recompute")
-        return saved
+        differ = [name for name, digest in {artifact: sha256_hex(canonical_json(rest)),
+                                            **reads, **written}.items()
+                  if recorded.get(name) != digest]
+        if not differ:
+            return saved
+        if self.computed and all(name in reads for name in differ):
+            return None
+        name = differ[0]
+        delete = next(iter(written), artifact) if name in reads else name
+        raise PruneKitError(
+            f"reused {self.path(delete)}: the digest {artifact} records for {name} "
+            "does not match; delete it to recompute")
 
     def _stage(self, stage, artifact, compute, reads=None, writes=(), reuse=True, load=None):
         """Run one stage: reuse its artifact, or compute it and write it.
@@ -307,21 +318,29 @@ class ExperimentRun:
         ``reads`` maps each file the stage reads to its sha256 now; ``writes``
         names the other files it writes. With ``reuse`` set, an artifact that
         is there with every file of ``writes`` is reused if ``_reused`` passes
-        it, and ``load()`` is called. Else the dict ``compute()`` returns, with
-        ``digests`` of the reads, the writes and its own other keys unless
-        ``reads`` is None (the report), is written atomically, last. The stage
-        is timed; a PruneKitError that ends it gets the prefix "<stage> stage: ",
-        and any failure is recorded in report.json before it propagates.
+        it, and ``load()`` is called; one ``_reused`` finds stale has the
+        files of ``writes`` deleted, in order. Else the dict ``compute()``
+        returns, with ``digests`` of the reads, the writes and its own other
+        keys unless ``reads`` is None (the report), is written atomically,
+        last. The stage is timed; a PruneKitError that ends it gets the prefix
+        "<stage> stage: ", and any failure is recorded in report.json before
+        it propagates.
         """
         start = time.perf_counter()
         try:
-            written = self._digests(*writes)
+            written, saved = self._digests(*writes), None
             if reuse and os.path.exists(self.path(artifact)) and None not in written.values():
                 saved = self._reused(artifact, reads, written)
-                if load is not None:
+                if saved is None:
+                    # stale: the trace goes first, so a run killed before
+                    # the JSON is rewritten computes afresh, replaying nothing
+                    for name in writes:
+                        os.unlink(self.path(name))
+                elif load is not None:
                     load()
-            else:
+            if saved is None:
                 saved = compute()
+                self.computed = True
                 if reads is not None:
                     saved["digests"] = {**reads, **self._digests(*writes),
                                         artifact: sha256_hex(canonical_json(saved))}

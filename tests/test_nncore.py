@@ -1397,38 +1397,64 @@ class TestChannelBands:
         assert states[0] == states[1]
 
 
-@pytest.mark.parametrize("env, one", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
-    ({"OMP_NUM_THREADS": "2"}, False),
-])
-def test_blas_one_thread_reads_the_pinning_variables(env, one, monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert layers._blas_one_thread() is one
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
-@pytest.mark.parametrize("pinned", [True, False])
-def test_split_cpus_is_read_at_import(pinned):
-    """A fresh interpreter cuts a split into one piece per usable CPU when
-    BLAS is pinned to one thread, and splits nothing otherwise."""
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps")
+                    or not hasattr(os, "sched_getaffinity"),
+                    reason="finds OpenBLAS through /proc/self/maps")
+@pytest.mark.parametrize("setting", [None, "1", "2"], ids=["unset", "pinned", "two"])
+def test_import_sets_openblas_to_one_thread(setting):
+    """A fresh interpreter, whatever the thread variables say, runs OpenBLAS
+    at one thread once prunekit is imported, and splits across every usable
+    CPU."""
     pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in pins}
-    if pinned:
-        env.update(dict.fromkeys(pins, "1"))
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
     script = textwrap.dedent("""
-        import os
+        import ctypes, os
+        import prunekit
         from prunekit.nncore import layers
-        print(layers._SPLIT_CPUS, len(os.sched_getaffinity(0)))
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        getters = [getattr(lib, name) for lib in map(ctypes.CDLL, libs)
+                   for name in ("scipy_openblas_get_num_threads64_",
+                                "scipy_openblas_get_num_threads",
+                                "openblas_get_num_threads64_", "openblas_get_num_threads")
+                   if hasattr(lib, name)]
+        if not getters:
+            print("none")
+        else:
+            getters[0].argtypes, getters[0].restype = [], ctypes.c_int
+            print(getters[0](), layers._SPLIT_CPUS, len(os.sched_getaffinity(0)))
     """)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    split_cpus, usable = map(int, done.stdout.split())
-    assert split_cpus == (usable if pinned else 1)
+    if done.stdout.strip() == "none":
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    threads, split_cpus, usable = map(int, done.stdout.split())
+    assert threads == 1
+    assert split_cpus == usable
+
+
+def test_no_openblas_setter_splits_nothing():
+    """Where no OpenBLAS setter is found (here: no /proc), BLAS keeps its
+    own threads and no op is split."""
+    script = textwrap.dedent("""
+        import builtins
+        real_open = builtins.open
+
+        def no_proc(path, *args, **kwargs):
+            if str(path).startswith("/proc/"):
+                raise FileNotFoundError(path)
+            return real_open(path, *args, **kwargs)
+        builtins.open = no_proc
+        from prunekit.nncore import layers
+        builtins.open = real_open
+        print(layers._SPLIT_CPUS)
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]

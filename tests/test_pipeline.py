@@ -13,7 +13,7 @@ import yaml
 from conftest import desk_experiment_config
 from test_data import write_fake_cifar
 
-from prunekit import archspec, featstats, pipeline
+from prunekit import archspec, cluster, featstats, pipeline, swarm
 from prunekit.errors import BoundsError, PruneKitError
 from prunekit.nncore import Network
 from prunekit.report import TABLE_COLUMNS, RunReport, render_table
@@ -680,6 +680,57 @@ class TestResumeChecks:
         assert trained == []
         assert_same_run(config, before)
 
+    def test_stale_stages_after_a_computed_one_are_computed_afresh(self, desk_run_pair,
+                                                                  tmp_path, monkeypatch):
+        """A coarse stage computed to other bytes makes the search and the
+        retrain stale: each deletes its written files, the trace first, and
+        is computed afresh, so the search replays nothing."""
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        os.remove(os.path.join(config.run_dir(), "coarse.json"))
+        coarse_prune, search = cluster.coarse_prune, swarm.search
+
+        def narrower(*args, **kwargs):
+            structure, reports = coarse_prune(*args, **kwargs)
+            return [max(1, width - 1) for width in structure], reports
+
+        traces, unlinked, unlink = [], [], os.unlink
+
+        def spy(*args, trace_path, **kwargs):
+            traces.append(os.path.exists(trace_path))
+            return search(*args, trace_path=trace_path, **kwargs)
+
+        def spy_unlink(path, *args, **kwargs):
+            unlinked.append(os.path.basename(path))
+            unlink(path, *args, **kwargs)
+        monkeypatch.setattr(cluster, "coarse_prune", narrower)
+        monkeypatch.setattr(swarm, "search", spy)
+        monkeypatch.setattr(os, "unlink", spy_unlink)
+        report = pipeline.run(config)
+        assert report.failed_stage is None
+        assert traces == [False]
+        assert unlinked == ["swarm_trace.jsonl", "swarm_state.json",
+                            "final.ckpt", "final_trace.csv"]
+        for name in ("coarse.json", "search.json", "retrain.json", "final.ckpt"):
+            assert Path(config.run_dir(), name).read_bytes() != before[name], name
+        first = json.loads(Path(config.run_dir(), "swarm_trace.jsonl").read_text().splitlines()[0])
+        assert first != json.loads(before["swarm_trace.jsonl"].splitlines()[0])
+
+    @pytest.mark.parametrize("name", ["coarse.json", "final.ckpt"])
+    def test_own_damage_stops_after_a_computed_stage(self, desk_run_pair, tmp_path, name):
+        """A recomputed baseline does not excuse a stage's edited keys or a
+        damaged file it wrote: the run still stops naming it."""
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        os.remove(os.path.join(config.run_dir(), "baseline_trace.csv"))
+        if name == "coarse.json":
+            path, damaged = edit_json(config, before, name,
+                                      lambda saved: saved.update(structure=[4, 4, 4, 4]))
+            assert_stops(config, "coarse", path, damaged, own_digest_differs(name))
+        else:
+            path, damaged = rewrite(config, name, before[name][:100])
+            assert_stops(config, "retrain", path, damaged,
+                         r"the digest retrain\.json records for final\.ckpt does not match")
+        assert_recomputed_without(config, before, path)
+
 
 class TestDamageCaught:
     """Edits that a rerun once took as they were: each now stops the run
@@ -699,7 +750,8 @@ class TestDamageCaught:
 
     def test_another_seeds_baseline_checkpoint_and_coarse_json(self, desk_run_pair, tmp_path):
         """The baseline stops on the foreign checkpoint; recomputed, it makes
-        the foreign coarse.json stale, and the coarse stage stops on that."""
+        the foreign coarse.json stale, so the coarse stage is computed afresh
+        and the run ends in the uninterrupted run's files."""
         config, before = copy_of_finished_run(desk_run_pair, tmp_path)
         other = desk_experiment_config(tmp_path / "other", seed=5)
         pipeline.run(other, through="coarse")
@@ -712,11 +764,8 @@ class TestDamageCaught:
                 rf"^baseline stage: reused {re.escape(ckpt)}: the digest baseline\.json "
                 r"records for baseline\.ckpt does not match; delete it to recompute$")):
             pipeline.run(config)
-        os.remove(ckpt)
-        assert_stops(
-            config, "coarse", coarse, foreign["coarse.json"],
-            r"the digest coarse\.json records for baseline\.json does not match")
-        assert_recomputed_without(config, before, coarse)
+        assert Path(coarse).read_bytes() == foreign["coarse.json"]
+        assert_recomputed_without(config, before, ckpt)
 
     def test_baseline_trace_cut(self, desk_run_pair, tmp_path):
         config, before = copy_of_finished_run(desk_run_pair, tmp_path)
@@ -729,7 +778,9 @@ class TestDamageCaught:
     def test_changed_cifar_batch_stops_the_baseline(self, tmp_path):
         """The baseline of a CIFAR-10 run records the sha256 of each batch
         file, so a run after one changes stops naming it, and names the
-        baseline's checkpoint as the file to delete."""
+        baseline's checkpoint as the file to delete. Once it is deleted, the
+        recomputed baseline makes every later stage stale, and one more run
+        ends in a fresh run's files on the changed data."""
         root = tmp_path / "cifar"
         root.mkdir()
         write_fake_cifar(root)
@@ -739,13 +790,18 @@ class TestDamageCaught:
             "  - {kind: conv, out_channels: 4, kernel: 3, padding: 1}\n"
             "  - {kind: batchnorm}\n  - {kind: activation}\n"
             "  - {kind: pool, kernel: 2, stride: 2}\n  - {kind: classifier-head}\n")
-        config = pipeline.config_from_dict({
-            "template": str(template), "out": str(tmp_path / "runs"),
-            "dataset": {"name": "cifar10", "path": str(root), "num_classes": 10},
-            "sample_count": 8, "min_pts": 3, "baseline_epochs": 1,
-            "swarm": {"particles": 2, "iterations": 1, "proxy_epochs": 1},
-            "trainer": {"batch_size": 8}})
+
+        def cifar_config(out):
+            return pipeline.config_from_dict({
+                "template": str(template), "out": str(tmp_path / out),
+                "dataset": {"name": "cifar10", "path": str(root), "num_classes": 10},
+                "sample_count": 8, "min_pts": 3, "baseline_epochs": 1,
+                "swarm": {"particles": 2, "iterations": 1, "proxy_epochs": 1},
+                "trainer": {"batch_size": 8}})
+        config = cifar_config("runs")
         pipeline.run(config)
+        old = {name: Path(config.run_dir(), name).read_bytes()
+               for name in os.listdir(config.run_dir())}
         batch = root / "data_batch_3.bin"
         data = bytearray(batch.read_bytes())
         data[1] ^= 1  # a pixel of the first record
@@ -757,6 +813,20 @@ class TestDamageCaught:
             pipeline.run(config)
         assert RunReport.load(os.path.join(config.run_dir(), "report.json")).failed_stage \
             == "baseline"
+
+        os.remove(ckpt)
+        pipeline.run(config)
+        fresh = cifar_config("fresh")
+        pipeline.run(fresh)
+        files = sorted(os.listdir(config.run_dir()))
+        assert files == sorted(os.listdir(fresh.run_dir()))
+        for name in files:
+            if name != "report.json":
+                data = Path(config.run_dir(), name).read_bytes()
+                assert data == Path(fresh.run_dir(), name).read_bytes(), name
+        # every stage was computed afresh on the changed data
+        assert all(Path(config.run_dir(), name).read_bytes() != old[name]
+                   for name in ("baseline.json", "coarse.json", "search.json", "retrain.json"))
 
 
 def _disk_full(*args):
