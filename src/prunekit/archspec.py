@@ -11,10 +11,8 @@ from dataclasses import dataclass, replace
 from numbers import Integral
 from pathlib import Path
 
-import yaml
-
 from .errors import BoundsError, StructureError
-from .util import canonical_json, sha256_hex
+from .util import canonical_json, read_yaml, sha256_hex
 
 KIND_CONV = "conv"
 KIND_FC = "fc"
@@ -328,8 +326,7 @@ def template_from_dict(d: dict) -> ArchTemplate:
 
 
 def load_template(path) -> ArchTemplate:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    data = read_yaml(path, "template")
     if not isinstance(data, dict):
         raise StructureError(f"template file {path} does not hold a mapping")
     return template_from_dict(data)

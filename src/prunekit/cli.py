@@ -38,9 +38,6 @@ _OVERRIDES = {
                        dict(type=int, help="epochs per fitness evaluation")),
     "--seed": ("seed", dict(type=int, help="experiment seed")),
     "--out": ("out_dir", dict(help="output directory for run artifacts")),
-    "--dump-similarity": ("dump_similarity", dict(
-        action="store_true", default=None,
-        help="write per-layer similarity matrices as CSV")),
 }
 
 

@@ -4,7 +4,7 @@ Five sequential stages, each leaving artifacts under a run directory named
 by a hash of the experiment configuration plus the seed:
 
     1. baseline   train (or reuse) the full-width model      baseline.ckpt
-    2. coarse     cluster feature maps into a width vector   coarse.json
+    2. coarse     cluster feature maps into a width vector   coarse.json (+ similarity_slotNN.csv)
     3. search     particle-swarm refinement                  search.json (+ swarm_state.json)
     4. retrain    final structure from scratch               final.ckpt
     5. report     JSON + table                               report.json / report.txt
@@ -13,9 +13,9 @@ Each stage's JSON, written last, records the sha256 of every file the stage
 read, of every other file it wrote and of its own other keys. A stage is
 reused only when each matches, else an error names the file to delete; a
 missing JSON or written file recomputes it, and so does a changed read file
-once an earlier stage of the same run was computed (its written files are
-deleted first). An interrupted search replays its trace. Each stage is
-deterministic given the config and seed, so a rerun ends in the
+once an earlier stage of the same run was computed (its written files, then
+its JSON, are deleted first). An interrupted search replays its trace. Each
+stage is deterministic given the config and seed, so a rerun ends in the
 uninterrupted run's files; the report, which may hold a failure record, is
 always rewritten. One run at a time holds a run directory.
 
@@ -31,13 +31,11 @@ import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-import yaml
-
 from . import archspec, cluster, data, featstats, swarm
 from .errors import BoundsError, PruneKitError
 from .nncore import Network, TrainConfig, load_model, save_model, train
 from .report import RunReport, render_table
-from .util import canonical_json, derive_seed, sha256_hex, write_text_atomic
+from .util import canonical_json, derive_seed, read_yaml, sha256_hex, write_text_atomic
 
 STAGES = ("baseline", "coarse", "search", "retrain", "report")
 
@@ -107,7 +105,6 @@ class ExperimentConfig:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     out_dir: str = "runs"
     seed: int = 0
-    dump_similarity: bool = False
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -120,8 +117,7 @@ class ExperimentConfig:
         return cluster.NeighborhoodParams(self.epsilon, self.min_pts)
 
     def identity_dict(self) -> dict:
-        """Everything that affects results; excludes out_dir, seed and
-        dump_similarity.
+        """Everything that affects results; excludes out_dir and seed.
 
         A template file is identified by what it holds, its template's
         ``template_hash()``, so an edited file names a new experiment; a
@@ -132,8 +128,7 @@ class ExperimentConfig:
         carries no identity of its own; an explicit swarm seed does.
         """
         d = asdict(self)
-        for name in ("out_dir", "seed", "dump_similarity"):
-            del d[name]
+        del d["out_dir"], d["seed"]
         if self.template not in archspec.BUILTIN_TEMPLATES and os.path.isfile(self.template):
             d["template"] = archspec.load_template(self.template).template_hash()
         if d["swarm"]["seed"] is None:
@@ -154,9 +149,7 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Build an ExperimentConfig from a YAML file of nested sections."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
-    return config_from_dict(raw)
+    return config_from_dict(read_yaml(path, "config") or {})
 
 
 # second spellings of a setting: key as written -> ExperimentConfig field
@@ -285,10 +278,10 @@ class ExperimentRun:
     def _reused(self, artifact, reads, written) -> dict | None:
         """The artifact's dict, once each digest it records matches: of its
         other keys, then of ``reads`` and ``written`` (name -> sha256 now).
-        None, to compute the stage afresh, when only read files differ and
-        an earlier stage of this run was computed. Else an error names the
-        file to delete: the one that differs, or for a read file the first
-        one written, so no trace of other inputs replays."""
+        None, to compute the stage afresh, when a read file differs and an
+        earlier stage of this run was computed. Else an error names the file
+        to delete: the one that differs, or for a read file the first one
+        written, so no trace of other inputs replays."""
         path = self.path(artifact)
         try:
             saved = json.loads(Path(path).read_text())
@@ -304,7 +297,7 @@ class ExperimentRun:
                   if recorded.get(name) != digest]
         if not differ:
             return saved
-        if self.computed and all(name in reads for name in differ):
+        if self.computed and any(name in reads for name in differ):
             return None
         name = differ[0]
         delete = next(iter(written), artifact) if name in reads else name
@@ -312,29 +305,31 @@ class ExperimentRun:
             f"reused {self.path(delete)}: the digest {artifact} records for {name} "
             "does not match; delete it to recompute")
 
-    def _stage(self, stage, artifact, compute, reads=None, writes=(), reuse=True, load=None):
+    def _stage(self, stage, artifact, compute, reads=None, writes=(), load=None):
         """Run one stage: reuse its artifact, or compute it and write it.
 
         ``reads`` maps each file the stage reads to its sha256 now; ``writes``
-        names the other files it writes. With ``reuse`` set, an artifact that
-        is there with every file of ``writes`` is reused if ``_reused`` passes
-        it, and ``load()`` is called; one ``_reused`` finds stale has the
-        files of ``writes`` deleted, in order. Else the dict ``compute()``
+        names the other files it writes. Unless ``reads`` is None (the
+        report, never reused), an artifact that is there with every file of
+        ``writes`` is reused if ``_reused`` passes it, and ``load()`` is
+        called; one ``_reused`` finds stale has the files of ``writes``
+        deleted, in order, and then itself. Else the dict ``compute()``
         returns, with ``digests`` of the reads, the writes and its own other
-        keys unless ``reads`` is None (the report), is written atomically,
-        last. The stage is timed; a PruneKitError that ends it gets the prefix
-        "<stage> stage: ", and any failure is recorded in report.json before
-        it propagates.
+        keys unless ``reads`` is None, is written atomically, last. The stage
+        is timed; a PruneKitError that ends it gets the prefix "<stage>
+        stage: ", and any failure is recorded in report.json before it
+        propagates.
         """
         start = time.perf_counter()
         try:
             written, saved = self._digests(*writes), None
-            if reuse and os.path.exists(self.path(artifact)) and None not in written.values():
+            if reads is not None and os.path.exists(self.path(artifact)) \
+                    and None not in written.values():
                 saved = self._reused(artifact, reads, written)
                 if saved is None:
-                    # stale: the trace goes first, so a run killed before
-                    # the JSON is rewritten computes afresh, replaying nothing
-                    for name in writes:
+                    # stale: the trace goes first and the JSON last, so a
+                    # run killed in between computes afresh, replaying nothing
+                    for name in (*writes, artifact):
                         os.unlink(self.path(name))
                 elif load is not None:
                     load()
@@ -388,19 +383,17 @@ class ExperimentRun:
 
     # -- stage 2 ------------------------------------------------------------
     def stage_coarse(self, net):
-        """The coarse width vector; with ``dump_similarity`` set, coarse.json
-        is reused only once every CSV is there (recomputing it, it is the same)."""
-        slots = self.template.prunable_slots if self.config.dump_similarity else ()
-        csvs = {slot: self.path(f"similarity_slot{slot:02d}.csv") for slot in slots}
+        """The coarse width vector, and each prunable layer's similarity
+        matrix as ``similarity_slotNN.csv``."""
+        csvs = {slot: f"similarity_slot{slot:02d}.csv" for slot in self.template.prunable_slots}
 
         def compute():
             samples = data.sample_images(self.train_set, self.config.sample_count,
                                          derive_seed(self.config.seed, "sample"))
-            sink = (lambda slot, sim: featstats.dump_similarity_csv(csvs[slot], sim)) \
-                if csvs else None
             structure, reports = cluster.coarse_prune(
                 self.template, net, samples, self.config.neighborhood(),
-                similarity_sink=sink)
+                similarity_sink=lambda slot, sim: featstats.dump_similarity_csv(
+                    self.path(csvs[slot]), sim))
             return {
                 "structure": list(structure),
                 "original": list(self.template.original_structure()),
@@ -411,7 +404,7 @@ class ExperimentRun:
             }
         return self._stage("coarse", "coarse.json", compute,
                            reads=self._digests("baseline.json", "baseline.ckpt"),
-                           reuse=all(map(os.path.exists, csvs.values())))
+                           writes=tuple(csvs.values()))
 
     # -- stage 3 ------------------------------------------------------------
     def stage_search(self, coarse_structure):
@@ -470,7 +463,7 @@ class ExperimentRun:
                                for key in ("mean", "std")})
             write_text_atomic(self.path("report.txt"), render_table(report))
             return report.to_dict()
-        return RunReport.from_dict(self._stage("report", "report.json", compute, reuse=False))
+        return RunReport.from_dict(self._stage("report", "report.json", compute))
 
 
 def run(config: ExperimentConfig, through: str = "report") -> RunReport | dict:

@@ -1,4 +1,5 @@
-"""Small shared utilities: seed derivation, canonical hashing, atomic writes."""
+"""Small shared utilities: seed derivation, canonical hashing, YAML reads,
+atomic writes."""
 from __future__ import annotations
 
 import hashlib
@@ -9,6 +10,9 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import numpy as np
+import yaml
+
+from .errors import PruneKitError
 
 
 def derive_seed(root_seed: int, *tags) -> int:
@@ -41,6 +45,19 @@ def round_half_away(values):
     """Round to nearest integer with halves away from zero (np.round is half-even)."""
     values = np.asarray(values)
     return np.sign(values) * np.floor(np.abs(values) + 0.5)
+
+
+def read_yaml(path, what: str):
+    """The YAML document in file ``path``. A file that cannot be read or
+    parsed is a PruneKitError naming it as the ``what`` file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except OSError as exc:
+        raise PruneKitError(f"{what} file {path}: {exc.strerror}") from None
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise PruneKitError(
+            f"{what} file {path} is not valid YAML: {' '.join(str(exc).split())}") from None
 
 
 def _atomic_write(path, data: bytes) -> None:

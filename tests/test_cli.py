@@ -49,6 +49,34 @@ def test_unknown_nested_key_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: unknown config key swarm.particle ")
 
 
+@pytest.mark.parametrize("case", ["missing config", "broken config", "binary config",
+                                  "broken template"])
+def test_unreadable_config_or_template_file_exits_2(tmp_path, capsys, case):
+    """A config file that is not there or is not YAML text, or a config
+    whose template file is not YAML, is an error naming the file, not a
+    traceback."""
+    config = str(tmp_path / "exp.yaml")
+    if case == "missing config":
+        bad = config
+    elif case == "broken config":
+        bad = write_config(tmp_path, "epsilon: [0.05\n")
+    elif case == "binary config":
+        bad = config
+        with open(bad, "wb") as fh:
+            fh.write(b"\x80\xff not text")
+    else:
+        bad = str(tmp_path / "broken.yaml")
+        with open(bad, "w") as fh:
+            fh.write("layers: [{kind: conv\n")
+        write_config(tmp_path, SMALL_RUN.replace("template: tiny4", f"template: {bad}"))
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    what = "template" if case == "broken template" else "config"
+    assert err.startswith(f"error: {what} file {bad}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_report_without_a_finished_run_exits_2(tmp_path, capsys):
     out = tmp_path / "runs"
     config = write_config(tmp_path, SMALL_RUN)
@@ -186,46 +214,15 @@ def test_stage_commands_in_sequence_reuse_each_earlier_stage(tmp_path, monkeypat
         written.append(os.path.basename(path))
         atomic_write(path, data)
     monkeypatch.setattr(util, "_atomic_write", spy)
+    csvs = {f"similarity_slot{slot:02d}.csv" for slot in archspec.tiny4().prunable_slots}
     for command, files in (("train-baseline", {"baseline.ckpt", "baseline.json"}),
-                           ("coarse", {"coarse.json"}),
+                           ("coarse", {"coarse.json", *csvs}),
                            ("search", {"swarm_state.json", "search.json"}),
                            ("retrain", {"final.ckpt", "retrain.json"}),
                            ("run", {"report.json", "report.txt"})):
         written.clear()
         assert cli.main([command, "--config", config, "--out", out]) == 0
         assert set(written) == files, command
-
-
-def test_dump_similarity_on_a_finished_run_writes_its_csvs(tmp_path, monkeypatch):
-    """--dump-similarity is not hashed, so a finished run's coarse.json is
-    reused only once every CSV it asks for is there; until then the stage is
-    recomputed, to the same coarse.json."""
-    out = str(tmp_path / "runs")
-    config = write_config(tmp_path, SMALL_RUN)
-    assert cli.main(["run", "--config", config, "--out", out]) == 0
-    (run_dir,) = os.listdir(out)
-    run_dir = os.path.join(out, run_dir)
-    with open(os.path.join(run_dir, "coarse.json"), "rb") as fh:
-        coarse = fh.read()
-    csvs = [f"similarity_slot{slot:02d}.csv" for slot in archspec.tiny4(num_classes=2).prunable_slots]
-    calls = []
-    coarse_prune = pipeline.cluster.coarse_prune
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return coarse_prune(*args, **kwargs)
-    monkeypatch.setattr(pipeline.cluster, "coarse_prune", spy)
-    for missing, recomputed in ((csvs, 1), ([], 0), (csvs[1:2], 1)):
-        for name in missing:
-            if os.path.exists(os.path.join(run_dir, name)):
-                os.remove(os.path.join(run_dir, name))
-        calls.clear()
-        assert cli.main(["coarse", "--config", config, "--out", out, "--dump-similarity"]) == 0
-        assert len(calls) == recomputed, missing
-        assert sorted(n for n in os.listdir(run_dir) if n.endswith(".csv")) == \
-            sorted(csvs + ["baseline_trace.csv", "final_trace.csv"])
-        with open(os.path.join(run_dir, "coarse.json"), "rb") as fh:
-            assert fh.read() == coarse
 
 
 def test_run_directory_held_by_another_run_exits_2(tmp_path, capsys):
@@ -280,15 +277,13 @@ def test_flags_override_the_config_file(tmp_path):
     config = write_config(tmp_path, SMALL_RUN)
     args = cli.build_parser().parse_args(
         ["run", "--config", config, "--epsilon", "0.2", "--minpts", "2", "--particles", "3",
-         "--iterations", "4", "--proxy-epochs", "2", "--seed", "9", "--out", "o",
-         "--dump-similarity"])
+         "--iterations", "4", "--proxy-epochs", "2", "--seed", "9", "--out", "o"])
     cfg = cli._config_from_args(args)
-    assert (cfg.epsilon, cfg.min_pts, cfg.seed, cfg.out_dir, cfg.dump_similarity) == \
-        (0.2, 2, 9, "o", True)
+    assert (cfg.epsilon, cfg.min_pts, cfg.seed, cfg.out_dir) == (0.2, 2, 9, "o")
     assert (cfg.swarm.particles, cfg.swarm.iterations, cfg.swarm.proxy_epochs) == (3, 4, 2)
     assert cfg.sample_count == 16 and cfg.trainer.batch_size == 16
     bare = cli._config_from_args(cli.build_parser().parse_args(["run", "--config", config]))
-    assert (bare.swarm.particles, bare.dump_similarity, bare.out_dir) == (2, False, "runs")
+    assert (bare.swarm.particles, bare.out_dir) == (2, "runs")
 
 
 # SMALL_RUN's net as a template file: tiny4's blocks at widths 8 and 16

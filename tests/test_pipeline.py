@@ -171,6 +171,7 @@ trainer:
         ({"trainer": {"lr": 0.1}}, "trainer.lr"),
         ({"neighborhood": {"eps": 0.1}}, "neighborhood.eps"),
         ({"swarm": {"gbest_update": "iteration"}}, "swarm.gbest_update"),
+        ({"dump_similarity": True}, "dump_similarity"),
     ])
     def test_unknown_key_named(self, raw, key):
         with pytest.raises(PruneKitError, match=rf"unknown config key {key} "):
@@ -201,7 +202,6 @@ trainer:
         ({"trainer": {"lr_drops": [[0.5, "ten"]]}}, "trainer.lr_drops"),
         ({"neighborhood": {"min_pts": 2.5}}, "neighborhood.min_pts"),
         ({"out": 3}, "out"),
-        ({"dump_similarity": 1}, "dump_similarity"),
         ({"swarm": {"particles": True}}, "swarm.particles"),
         ({"swarm": {"seed": "x"}}, "swarm.seed"),
     ])
@@ -275,6 +275,9 @@ def spy_on_training(monkeypatch) -> list:
     return trained
 
 
+TINY4_CSVS = [f"similarity_slot{slot:02d}.csv" for slot in archspec.tiny4().prunable_slots]
+
+
 def copy_of_finished_run(desk_run_pair, tmp_path):
     """A desk config whose run directory is a copy of the finished desk run,
     and that directory's files as bytes."""
@@ -302,6 +305,7 @@ class TestDeskRun:
     def test_artifacts_exist(self, desk_run_pair):
         run_dir = desk_run_pair["config_a"].run_dir()
         for name in ("baseline.ckpt", "baseline.json", "coarse.json",
+                     *TINY4_CSVS,
                      "search.json", "swarm_state.json", "swarm_trace.jsonl",
                      "final.ckpt", "retrain.json", "report.json", "report.txt"):
             assert os.path.exists(os.path.join(run_dir, name)), name
@@ -426,7 +430,7 @@ class TestCrashSweep:
         """Each file of the small run, cut, flipped, swapped for another
         seed's or deleted in turn (scripts/crash_sweep.py --damage)."""
         count, failures = load_crash_sweep().damage_sweep(tmp_path, log=lambda line: None)
-        assert count == 40 and not failures, failures
+        assert count == 56 and not failures, failures
 
 
 def trace_structures(config):
@@ -580,6 +584,16 @@ def own_digest_differs(name):
     return rf"the digest {re.escape(name)} records for {re.escape(name)} does not match"
 
 
+def coarse_prune_narrower(monkeypatch):
+    """From here on the coarse stage computes each width one narrower."""
+    coarse_prune = cluster.coarse_prune
+
+    def narrower(*args, **kwargs):
+        structure, reports = coarse_prune(*args, **kwargs)
+        return [max(1, width - 1) for width in structure], reports
+    monkeypatch.setattr(cluster, "coarse_prune", narrower)
+
+
 class TestResumeChecks:
     """A stage is reused only when each sha256 its JSON records matches: of
     the JSON's other keys, of each file the stage read and of each other
@@ -684,15 +698,10 @@ class TestResumeChecks:
                                                                   tmp_path, monkeypatch):
         """A coarse stage computed to other bytes makes the search and the
         retrain stale: each deletes its written files, the trace first, and
-        is computed afresh, so the search replays nothing."""
+        then its JSON, and is computed afresh, so the search replays nothing."""
         config, before = copy_of_finished_run(desk_run_pair, tmp_path)
         os.remove(os.path.join(config.run_dir(), "coarse.json"))
-        coarse_prune, search = cluster.coarse_prune, swarm.search
-
-        def narrower(*args, **kwargs):
-            structure, reports = coarse_prune(*args, **kwargs)
-            return [max(1, width - 1) for width in structure], reports
-
+        search = swarm.search
         traces, unlinked, unlink = [], [], os.unlink
 
         def spy(*args, trace_path, **kwargs):
@@ -702,18 +711,51 @@ class TestResumeChecks:
         def spy_unlink(path, *args, **kwargs):
             unlinked.append(os.path.basename(path))
             unlink(path, *args, **kwargs)
-        monkeypatch.setattr(cluster, "coarse_prune", narrower)
+        coarse_prune_narrower(monkeypatch)
         monkeypatch.setattr(swarm, "search", spy)
         monkeypatch.setattr(os, "unlink", spy_unlink)
         report = pipeline.run(config)
         assert report.failed_stage is None
         assert traces == [False]
-        assert unlinked == ["swarm_trace.jsonl", "swarm_state.json",
-                            "final.ckpt", "final_trace.csv"]
+        assert unlinked == ["swarm_trace.jsonl", "swarm_state.json", "search.json",
+                            "final.ckpt", "final_trace.csv", "retrain.json"]
         for name in ("coarse.json", "search.json", "retrain.json", "final.ckpt"):
             assert Path(config.run_dir(), name).read_bytes() != before[name], name
         first = json.loads(Path(config.run_dir(), "swarm_trace.jsonl").read_text().splitlines()[0])
         assert first != json.loads(before["swarm_trace.jsonl"].splitlines()[0])
+
+    def test_a_stale_search_killed_midway_replays_only_its_own_trace(self, desk_run_pair,
+                                                                    tmp_path, monkeypatch):
+        """A search computed afresh after a changed coarse.json and killed at
+        its 10th fitness evaluation has lost its old search.json, so the
+        next run replays the new partial trace and ends in the files of an
+        uninterrupted recompute."""
+        class Killed(BaseException):
+            pass
+        proxy_train, calls = swarm.nncore.train, []
+
+        def killed_at_the_10th(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 10:
+                raise Killed
+            return proxy_train(*args, **kwargs)
+        coarse_prune_narrower(monkeypatch)
+        runs = {}
+        for name in ("uninterrupted", "killed"):
+            runs[name], _ = copy_of_finished_run(desk_run_pair, tmp_path / name)
+            os.remove(os.path.join(runs[name].run_dir(), "coarse.json"))
+        pipeline.run(runs["uninterrupted"])
+        with monkeypatch.context() as m:
+            m.setattr(swarm.nncore, "train", killed_at_the_10th)
+            with pytest.raises(Killed):
+                pipeline.run(runs["killed"])
+        run_dir = runs["killed"].run_dir()
+        assert os.path.exists(os.path.join(run_dir, "swarm_state.json"))
+        assert not os.path.exists(os.path.join(run_dir, "search.json"))
+        pipeline.run(runs["killed"])
+        assert_same_run(runs["killed"], {
+            name: Path(runs["uninterrupted"].run_dir(), name).read_bytes()
+            for name in os.listdir(runs["uninterrupted"].run_dir())})
 
     @pytest.mark.parametrize("name", ["coarse.json", "final.ckpt"])
     def test_own_damage_stops_after_a_computed_stage(self, desk_run_pair, tmp_path, name):
@@ -848,13 +890,31 @@ class _TornWriter:
 
 class TestSimilarityCsvs:
     def coarse_run(self, out_dir):
-        config = dataclasses.replace(desk_experiment_config(out_dir), dump_similarity=True)
-        run = pipeline.ExperimentRun(config)
+        run = pipeline.ExperimentRun(desk_experiment_config(out_dir))
         return run, Network(run.template, seed=0)
 
     def csvs(self, run):
         return {name: Path(run.path(name)).read_bytes()
                 for name in os.listdir(run.run_dir) if name.startswith("similarity_slot")}
+
+    def test_a_missing_csv_recomputes_the_coarse_stage_alone(self, desk_run_pair, tmp_path,
+                                                            monkeypatch):
+        """The CSVs are files the coarse stage writes: with one gone, the
+        stage is computed again, to the same coarse.json and CSVs, and every
+        other stage is reused."""
+        config, before = copy_of_finished_run(desk_run_pair, tmp_path)
+        assert sorted(name for name in before if name.startswith("similarity_slot")) == \
+            TINY4_CSVS
+        os.remove(os.path.join(config.run_dir(), TINY4_CSVS[1]))
+        trained, calls, coarse_prune = spy_on_training(monkeypatch), [], cluster.coarse_prune
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return coarse_prune(*args, **kwargs)
+        monkeypatch.setattr(cluster, "coarse_prune", spy)
+        pipeline.run(config)
+        assert len(calls) == 1 and trained == []
+        assert_same_run(config, before)
 
     @pytest.mark.parametrize("fault", ["row", "fsync"])
     def test_an_error_in_the_third_csv_leaves_no_torn_file(self, tmp_path, monkeypatch, fault):
