@@ -45,8 +45,8 @@ class Dataset:
         return (c, w, h)
 
 
-def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray, str]:
-    """The file's images, its labels and the sha256 of its bytes."""
+def _read_cifar_file(path) -> tuple[np.ndarray, str]:
+    """The file's (N, 3073) uint8 records and the sha256 of its bytes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) == 0:
@@ -56,45 +56,97 @@ def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray, str]:
             f"{path}: truncated record, file size {len(blob)} is not a "
             f"multiple of {CIFAR_RECORD_BYTES}",
             offset=len(blob) - len(blob) % CIFAR_RECORD_BYTES)
-    raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-    labels = raw[:, 0].astype(np.int64)
-    bad = np.flatnonzero(labels >= CIFAR_CLASSES)
+    records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+    bad = np.flatnonzero(records[:, 0] >= CIFAR_CLASSES)
     if bad.size:
         first = int(bad[0])
         raise DataFormatError(
-            f"{path}: record {first} has label {labels[first]} >= {CIFAR_CLASSES}",
+            f"{path}: record {first} has label {records[first, 0]} >= {CIFAR_CLASSES}",
             offset=first * CIFAR_RECORD_BYTES)
-    # pixel block: 1024 red, 1024 green, 1024 blue, each row-major 32x32
-    images = raw[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
-    return images, labels, sha256_hex(blob)
+    return records, sha256_hex(blob)
+
+
+def _cifar_split(records) -> tuple[np.ndarray, np.ndarray]:
+    """Images scaled to [0, 1] and labels of the list ``records`` of each
+    file's records, in order. Each file's records are taken from the list,
+    converted into their slice of one float32 array and released, so no
+    second full-size copy is made."""
+    n = sum(r.shape[0] for r in records)
+    images = np.empty((n, 3, 32, 32), dtype=np.float32)
+    labels = np.empty(n, dtype=np.int64)
+    start = 0
+    while records:
+        part = records.pop(0)
+        end = start + part.shape[0]
+        labels[start:end] = part[:, 0]
+        # pixel block: 1024 red, 1024 green, 1024 blue, each row-major 32x32
+        images[start:end] = part[:, 1:].reshape(-1, 3, 32, 32)
+        images[start:end] /= 255.0
+        start = end
+    return images, labels
+
+
+# Samples per step of the std pass, so its float64 temporaries stay a chunk.
+_STD_CHUNK = 1024
+
+
+def _channel_std(images, mean):
+    """``images.std(axis=(0, 2, 3), dtype=np.float64)``, bit for bit, given
+    its ``mean``, without NumPy's float64 copy of the whole array.
+
+    NumPy sums the squared deviations of each (sample, channel) plane
+    pairwise and adds those sums over the samples in order; a chunk of
+    samples at a time does the same. With one channel NumPy sums the whole
+    array as one run instead, so that case takes NumPy's own pass.
+    """
+    n, c, h, w = images.shape
+    if c == 1:
+        return images.std(axis=(0, 2, 3), dtype=np.float64)
+    total = np.zeros(c)
+    block = np.empty((min(n, _STD_CHUNK), c, h, w))
+    for start in range(0, n, _STD_CHUNK):
+        chunk = images[start:start + _STD_CHUNK]
+        # cast first, then subtract in float64: a mixed subtraction would
+        # also make a float64 copy of the chunk
+        dev = block[:chunk.shape[0]]
+        dev[...] = chunk
+        dev -= mean[:, None, None]
+        sums = np.square(dev, out=dev).sum(axis=(2, 3))
+        sums[0] += total
+        total = np.cumsum(sums, axis=0)[-1]
+    return np.sqrt(total / (n * h * w))
 
 
 def _standardize(train_images, test_images):
+    """Standardize both splits in place per channel with the training
+    split's mean and std; returns those as float lists."""
     mean = train_images.mean(axis=(0, 2, 3), dtype=np.float64)
-    std = train_images.std(axis=(0, 2, 3), dtype=np.float64)
+    std = _channel_std(train_images, mean)
     std = np.where(std == 0.0, 1.0, std)
     m = mean.astype(np.float32)[None, :, None, None]
     s = std.astype(np.float32)[None, :, None, None]
-    return ((train_images - m) / s, (test_images - m) / s,
-            [float(v) for v in mean], [float(v) for v in std])
+    for images in (train_images, test_images):
+        images -= m
+        images /= s
+    return [float(v) for v in mean], [float(v) for v in std]
 
 
 def load_cifar10(root) -> tuple[Dataset, Dataset]:
     """Parse the binary-version CIFAR-10 batches found under ``root``. The
     metadata's ``file_sha256`` maps each batch's path to the sha256 of the
     bytes parsed."""
-    parts = {}
+    records, digests = [], {}
     for name in (*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE):
         path = os.path.join(root, name)
         if not os.path.exists(path):
             raise DataFormatError(f"missing CIFAR-10 batch {path}")
-        parts[path] = _parse_cifar_file(path)
-    *train_parts, (test_images, test_labels, _) = parts.values()
-    train_images = np.concatenate([p[0] for p in train_parts], axis=0)
-    train_labels = np.concatenate([p[1] for p in train_parts], axis=0)
-    train_images, test_images, mean, std = _standardize(train_images, test_images)
+        part, digests[path] = _read_cifar_file(path)
+        records.append(part)
+    test_images, test_labels = _cifar_split([records.pop()])
+    train_images, train_labels = _cifar_split(records)
+    mean, std = _standardize(train_images, test_images)
     meta = {"name": "cifar10", "standardize_mean": mean, "standardize_std": std,
-            "file_sha256": {path: part[2] for path, part in parts.items()}}
+            "file_sha256": digests}
     return (Dataset(train_images, train_labels, CIFAR_CLASSES, dict(meta)),
             Dataset(test_images, test_labels, CIFAR_CLASSES, dict(meta)))
 
@@ -161,7 +213,7 @@ def make_blobs(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     protos = _blob_prototypes(spec, rng)
     train_images, train_labels = _render_split(protos, spec, spec.train_size, rng)
     test_images, test_labels = _render_split(protos, spec, spec.test_size, rng)
-    train_images, test_images, mean, std = _standardize(train_images, test_images)
+    mean, std = _standardize(train_images, test_images)
     meta = {
         "name": "synthetic",
         "standardize_mean": mean,

@@ -8,8 +8,6 @@ parallel mean maps".
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +71,10 @@ def distance_matrix(sim: SimilarityMatrix) -> np.ndarray:
 
 def dump_similarity_csv(path, sim: SimilarityMatrix) -> None:
     """Write one layer's similarity matrix atomically as a plain CSV for
-    inspection."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
+    inspection: a header row, then one row per channel, each entry to nine
+    decimals, every row ended by CRLF."""
     c = sim.entries.shape[0]
-    writer.writerow(["channel"] + [str(j) for j in range(c)])
-    for i in range(c):
-        writer.writerow([str(i)] + [f"{v:.9f}" for v in sim.entries[i]])
-    write_text_atomic(path, buf.getvalue())
+    row = ",".join(["%.9f"] * c)
+    lines = [",".join(["channel", *map(str, range(c))])]
+    lines += [f"{i}," + row % tuple(values) for i, values in enumerate(sim.entries.tolist())]
+    write_text_atomic(path, "\r\n".join(lines) + "\r\n")

@@ -25,7 +25,7 @@ def gradient_check(net, x, labels, loss="xent", epsilon=1e-5, floor=1e-6):
     x = np.asarray(x, dtype=np.float64)
     saved = {k: v.copy() for k, v in net.state_arrays().items()}
     try:
-        net.loss_and_grads(x, labels, loss=loss, train=True)
+        net.loss_and_grads(x, labels, loss=loss)
         analytic = {k: v.copy() for k, v in net.grads().items()}
         worst = 0.0
         for name, w in net.params().items():
@@ -34,9 +34,9 @@ def gradient_check(net, x, labels, loss="xent", epsilon=1e-5, floor=1e-6):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + epsilon
-                plus = net.loss_only(x, labels, loss=loss, train=True)
+                plus = net.loss_only(x, labels, loss=loss)
                 flat[i] = orig - epsilon
-                minus = net.loss_only(x, labels, loss=loss, train=True)
+                minus = net.loss_only(x, labels, loss=loss)
                 flat[i] = orig
                 numeric = (plus - minus) / (2.0 * epsilon)
                 denom = max(abs(g_flat[i]), abs(numeric), floor)

@@ -231,10 +231,10 @@ def _pad(x, padding):
     return padded
 
 
-def _out_size(h, w, kh, kw, stride, padding=0):
+def _out_size(h, w, kh, kw, stride):
     """(out_h, out_w): how many kh x kw windows, ``stride`` apart, fit an
-    h x w input with ``padding`` zero cells added on each side."""
-    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    h x w input."""
+    return (h - kh) // stride + 1, (w - kw) // stride + 1
 
 
 def _windows(kh, kw, stride, rows, out_w):
@@ -248,29 +248,27 @@ def _windows(kh, kw, stride, rows, out_w):
         yield i, j, np.s_[:, i + stride * r0:i + stride * r1:stride, j:j + stride * out_w:stride]
 
 
-def im2col(x, kh, kw, stride, padding, rows=None, out=None):
+def im2col(x, kh, kw, stride, rows=None, out=None):
     """Unfold conv windows of a whole batch into one GEMM operand.
 
     (N, C, H, W) -> columns of shape (C*kh*kw, out_h*out_w*N), laid out as
     (C, kh, kw, out_h, out_w, N): row (c, i, j) holds input channel c at
-    window offset (i, j) for every output position and sample.
+    window offset (i, j) for every output position and sample. ``x`` is the
+    padded input: ``Conv`` pads it.
 
     ``rows=(r0, r1)`` unfolds only output rows r0 <= y < r1, giving
     (C*kh*kw, (r1-r0)*out_w*N) columns. ``out``, a 1-D buffer of at least
     that many elements, receives them in place of a fresh array.
     """
     n, c, h, w = x.shape
-    out_h, out_w = _out_size(h, w, kh, kw, stride, padding)
+    out_h, out_w = _out_size(h, w, kh, kw, stride)
     r0, r1 = (0, out_h) if rows is None else rows
-    x = x.transpose(1, 2, 3, 0)
-    if padding:
-        x = _pad(x, padding)
     shape = (c, kh, kw, r1 - r0, out_w, n)
     if out is None:
         cols = np.empty(shape, dtype=x.dtype)
     else:
         cols = out[:np.prod(shape)].reshape(shape)
-    by_channel(_fill_windows, (cols, x), kh, kw, stride, (r0, r1), out_w)
+    by_channel(_fill_windows, (cols, x.transpose(1, 2, 3, 0)), kh, kw, stride, (r0, r1), out_w)
     return cols.reshape(c * kh * kw, -1), out_h, out_w
 
 
@@ -279,17 +277,15 @@ def _fill_windows(cols, x, kh, kw, stride, rows, out_w):
         cols[:, i, j] = x[window]
 
 
-def col2im(dcols, x_shape, kh, kw, stride, padding):
+def col2im(dcols, x_shape, kh, kw, stride):
     """Adjoint of im2col: scatter-add (C*kh*kw, out_h*out_w*N) columns, laid
-    out as (C, kh, kw, out_h, out_w, N), back onto an (N, C, H, W) gradient
-    held batch-innermost."""
+    out as (C, kh, kw, out_h, out_w, N), back onto the gradient of the
+    padded (N, C, H, W) input of shape ``x_shape``, held batch-innermost."""
     n, c, h, w = x_shape
-    out_h, out_w = _out_size(h, w, kh, kw, stride, padding)
+    out_h, out_w = _out_size(h, w, kh, kw, stride)
     dcols = dcols.reshape(c, kh, kw, out_h, out_w, n)
-    dx = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=dcols.dtype)
+    dx = np.zeros((c, h, w, n), dtype=dcols.dtype)
     by_channel(_scatter_windows, (dcols, dx), kh, kw, stride, (0, out_h), out_w)
-    if padding:
-        dx = dx[:, padding:-padding, padding:-padding]
     return dx.transpose(3, 0, 1, 2)
 
 
@@ -369,11 +365,13 @@ class Layer:
 
 
 class Conv(Layer):
-    """2-D convolution as im2col + GEMM. The forward unfolds the input a band
-    of output rows at a time, each band's columns taking at most BAND_BYTES
-    (or one row, if that is larger). A training forward whose columns fit one
-    band keeps them for backward; otherwise it keeps its input, and backward
-    works from that one kernel offset at a time."""
+    """2-D convolution as im2col + GEMM, and the one owner of its padding:
+    it pads its input, ``im2col`` and ``col2im`` see only the padded layout,
+    and ``backward`` crops the padded input gradient. The forward unfolds
+    the input a band of output rows at a time, each band's columns taking at
+    most BAND_BYTES (or one row, if that is larger). A training forward
+    whose columns fit one band keeps them for backward; otherwise it keeps
+    its input, and backward works from that one kernel offset at a time."""
 
     # The vgg16 capture forward runs as fast with 512 KiB as with 8 MiB. At
     # 8 MiB every tiny4 conv fits one band at the desk batch sizes, so desk
@@ -381,26 +379,26 @@ class Conv(Layer):
     # products in another order, which would change the desk run's values.
     BAND_BYTES = 1 << 23
 
-    def __init__(self, in_channels, out_channels, kernel, stride, padding, bias, rng, dtype,
-                 weight=None):
-        """The weight is drawn from ``rng`` by ``kaiming_normal``, or given
-        as ``weight`` when it was drawn so already: ``Network`` draws every
-        layer's weight in one call."""
-        if weight is None:
-            weight, = kaiming_normal([(rng, (out_channels, in_channels, *kernel))], dtype)
+    def __init__(self, weight, bias, stride, padding):
+        """``weight`` is (O, C, kh, kw); ``bias`` makes O zero biases in its
+        dtype."""
         self.weight = weight
-        self.bias = np.zeros(out_channels, dtype=dtype) if bias else None
+        self.bias = np.zeros(weight.shape[0], dtype=weight.dtype) if bias else None
         self.stride = stride
         self.padding = padding
 
+    def _padded(self, x):
+        """The batch-innermost (C, H, W, N) view of the input ``x``, with
+        ``padding`` zero cells added on each spatial side."""
+        x = x.transpose(1, 2, 3, 0)
+        return _pad(x, self.padding) if self.padding else x
+
     def forward(self, x, train):
-        n, _, h, w = x.shape
+        n = x.shape[0]
         out_c, _, kh, kw = self.weight.shape
-        out_h, out_w = _out_size(h, w, kh, kw, self.stride, self.padding)
+        xpad = self._padded(x).transpose(3, 0, 1, 2)
+        out_h, out_w = _out_size(*xpad.shape[2:], kh, kw, self.stride)
         w2d = self.weight.reshape(out_c, -1)
-        xpad = x
-        if self.padding:
-            xpad = _pad(x.transpose(1, 2, 3, 0), self.padding).transpose(3, 0, 1, 2)
         per_row = out_w * n               # output columns per output row
         row = w2d.shape[1] * per_row      # column elements per output row
         band = max(1, min(out_h, self.BAND_BYTES // (row * x.itemsize)))
@@ -414,18 +412,18 @@ class Conv(Layer):
         out = np.empty((out_c, out_h * per_row), dtype=np.result_type(w2d, x))
         for r0 in range(0, out_h, band):
             r1 = min(r0 + band, out_h)
-            cols, _, _ = im2col(xpad, kh, kw, self.stride, 0, rows=(r0, r1), out=block)
+            cols, _, _ = im2col(xpad, kh, kw, self.stride, rows=(r0, r1), out=block)
             _matmul(w2d, cols, out[:, r0 * per_row:r1 * per_row])
         if train:
             # columns that fit one band are kept for backward; larger ones
             # are never formed whole, and backward works from the input
-            self._cache = (x.shape, None, cols) if band == out_h else (x.shape, x, None)
+            self._cache = (xpad.shape, None, cols) if band == out_h else (xpad.shape, x, None)
         if self.bias is not None:
             by_channel(_add_into, (out, self.bias[:, None]))
         return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
     def backward(self, dout, input_grad=True):
-        x_shape, x, cols = self._cache
+        xpad_shape, x, cols = self._cache
         self._cache = None
         out_c, _, kh, kw = self.weight.shape
         dflat = dout.transpose(1, 2, 3, 0).reshape(out_c, -1)
@@ -433,37 +431,40 @@ class Conv(Layer):
             self.d_bias = np.empty(out_c, dtype=dflat.dtype)
             by_channel(_sum_rows, (dflat, self.d_bias))
         if cols is None:
-            return self._backward_by_offset(x, dflat, input_grad)
-        d_weight = np.empty((out_c, cols.shape[0]), dtype=np.result_type(dflat, cols))
-        self.d_weight = _matmul(dflat, cols.T, d_weight).reshape(self.weight.shape)
-        if not input_grad:
-            return None
-        # the weight gradient was the columns' last use
-        dcols = _matmul(self.weight.reshape(out_c, -1).T, dflat, cols)
-        return col2im(dcols, x_shape, kh, kw, self.stride, self.padding)
+            dx = self._backward_by_offset(x, dflat, input_grad)
+        else:
+            d_weight = np.empty((out_c, cols.shape[0]), dtype=np.result_type(dflat, cols))
+            self.d_weight = _matmul(dflat, cols.T, d_weight).reshape(self.weight.shape)
+            dx = None
+            if input_grad:
+                # the weight gradient was the columns' last use
+                dcols = _matmul(self.weight.reshape(out_c, -1).T, dflat, cols)
+                dx = col2im(dcols, xpad_shape, kh, kw, self.stride)
+        p = self.padding
+        if dx is None or not p:
+            return dx
+        return dx[:, :, p:-p, p:-p]
 
     def _backward_by_offset(self, x, dflat, input_grad):
         """Backward without kept columns, one kernel offset (i, j) at a time
-        (the kn2row split). An offset's window of the padded input is one
+        (the kn2row split); returns the padded input gradient, as col2im
+        does. An offset's window of the padded input is one
         (C, out_h*out_w*N) row block of the im2col columns; it is copied into
         one block of the shared workspace for the weight gradient's GEMM,
         and the input gradient's GEMM then writes into the same block, which
         is added onto the padded input gradient. Every GEMM keeps the inner
         dimension of the whole-batch product, and ``_windows`` walks col2im's
         (i, j) order, so the values are the kept-columns path's."""
-        n, in_c, h, w = x.shape
+        xpad = self._padded(x)
+        in_c, h, w, n = xpad.shape
         out_c, _, kh, kw = self.weight.shape
-        p = self.padding
-        out_h, out_w = _out_size(h, w, kh, kw, self.stride, p)
-        xpad = x.transpose(1, 2, 3, 0)
-        if p:
-            xpad = _pad(xpad, p)
+        out_h, out_w = _out_size(h, w, kh, kw, self.stride)
         block = WORKSPACE.take((in_c, out_h, out_w, n), x.dtype)
         flat = block.reshape(in_c, -1)
         # held as (kh, kw, O, C), so each offset's GEMM fills a contiguous
         # slab; the gradient is its (O, C, kh, kw) view
         d_weight = np.empty((kh, kw, out_c, in_c), dtype=np.result_type(dflat, x))
-        dx = np.zeros((in_c, h + 2 * p, w + 2 * p, n), dtype=x.dtype) if input_grad else None
+        dx = np.zeros(xpad.shape, dtype=x.dtype) if input_grad else None
         for i, j, window in _windows(kh, kw, self.stride, (0, out_h), out_w):
             by_channel(_copy_into, (block, xpad[window]))
             _matmul(dflat, flat.T, d_weight[i, j])
@@ -471,11 +472,7 @@ class Conv(Layer):
                 _matmul(np.ascontiguousarray(self.weight[:, :, i, j]).T, dflat, flat)
                 by_channel(_add_into, (dx[window], block))
         self.d_weight = d_weight.transpose(2, 3, 0, 1)
-        if dx is None:
-            return None
-        if p:
-            dx = dx[:, p:-p, p:-p]
-        return dx.transpose(3, 0, 1, 2)
+        return None if dx is None else dx.transpose(3, 0, 1, 2)
 
 
 class BatchNorm(Layer):
@@ -674,12 +671,10 @@ def _pool_backward(first, dout, dx, k, stride, tiles):
 
 
 class Linear(Layer):
-    def __init__(self, in_features, out_features, bias, rng, dtype, weight=None):
-        """The weight is drawn or given as ``Conv``'s is."""
-        if weight is None:
-            weight, = kaiming_normal([(rng, (out_features, in_features))], dtype)
+    def __init__(self, weight, bias):
+        """``weight`` is (O, F); ``bias`` makes O zero biases in its dtype."""
         self.weight = weight
-        self.bias = np.zeros(out_features, dtype=dtype) if bias else None
+        self.bias = np.zeros(weight.shape[0], dtype=weight.dtype) if bias else None
 
     @staticmethod
     def _flat(x):

@@ -8,6 +8,9 @@ from ..errors import StructureError
 from ..util import derive_seed
 from . import layers as L
 
+# Samples per evaluation forward; every evaluation runs at this size
+EVAL_BATCH = 256
+
 
 def softmax(logits):
     z = logits - logits.max(axis=1, keepdims=True)
@@ -48,8 +51,8 @@ class Network:
 
     Weight init is Kaiming fan-in scaling with a per-layer seeded stream, so a
     (template, seed) pair always produces the same parameters. Every layer's
-    weight is drawn in one ``kaiming_normal`` call, which splits a large
-    net's draws across the usable CPUs.
+    weight is drawn in the one call below, which splits a large net's draws
+    across the usable CPUs, and each layer is built from its drawn array.
     """
 
     def __init__(self, template: archspec.ArchTemplate, seed: int = 0, dtype=np.float32):
@@ -69,10 +72,7 @@ class Network:
         weights = dict(zip(shapes, drawn))
         for idx, spec in enumerate(template.layers):
             if spec.kind == archspec.KIND_CONV:
-                self.layers.append(
-                    L.Conv(spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
-                           spec.padding, spec.bias, None, self.dtype, weight=weights[idx])
-                )
+                self.layers.append(L.Conv(weights[idx], spec.bias, spec.stride, spec.padding))
             elif spec.kind == archspec.KIND_BN:
                 self.layers.append(L.BatchNorm(spec.out_channels, self.dtype))
             elif spec.kind == archspec.KIND_ACT:
@@ -80,10 +80,7 @@ class Network:
             elif spec.kind == archspec.KIND_POOL:
                 self.layers.append(L.MaxPool(spec.kernel[0], spec.stride))
             elif spec.kind in (archspec.KIND_FC, archspec.KIND_HEAD):
-                self.layers.append(
-                    L.Linear(spec.in_channels, spec.out_channels, spec.bias, None, self.dtype,
-                             weight=weights[idx])
-                )
+                self.layers.append(L.Linear(weights[idx], spec.bias))
             else:  # pragma: no cover
                 raise StructureError(f"layer {idx}: unsupported kind {spec.kind!r}")
         self._capture_points = self._locate_capture_points()
@@ -150,25 +147,27 @@ class Network:
             if update is not None:
                 update(layer)
 
-    def loss_and_grads(self, x, labels, loss="xent", train=True, update=None):
-        """Forward, loss and backward; returns the loss. ``update`` is handed
-        to ``backward``. A non-finite loss runs no backward, so it sets no
-        gradient and no ``update`` runs."""
-        logits = self.forward(x, train=train)
+    def loss_and_grads(self, x, labels, loss="xent", update=None):
+        """Training forward, loss and backward; returns the loss. ``update``
+        is handed to ``backward``. A non-finite loss runs no backward, so it
+        sets no gradient and no ``update`` runs."""
+        logits = self.forward(x, train=True)
         value, dlogits = _loss_fn(loss, logits, labels, self.template.num_classes)
         if np.isfinite(value):
             self.backward(dlogits, update)
         return value
 
-    def loss_only(self, x, labels, loss="xent", train=True):
-        logits = self.forward(x, train=train)
+    def loss_only(self, x, labels, loss="xent"):
+        """The loss of a training forward."""
+        logits = self.forward(x, train=True)
         value, _ = _loss_fn(loss, logits, labels, self.template.num_classes)
         return value
 
-    def predict_logits(self, x, batch_size=256):
+    def predict_logits(self, x):
+        """Evaluation-mode logits, ``EVAL_BATCH`` samples at a time."""
         outs = []
-        for start in range(0, x.shape[0], batch_size):
-            outs.append(self.forward(x[start:start + batch_size], train=False))
+        for start in range(0, x.shape[0], EVAL_BATCH):
+            outs.append(self.forward(x[start:start + EVAL_BATCH], train=False))
         return np.concatenate(outs, axis=0)
 
     def _named(self, part) -> dict[str, np.ndarray]:

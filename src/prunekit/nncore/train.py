@@ -74,11 +74,11 @@ def lr_for_epoch(config: TrainConfig, epoch: int) -> float:
     return lr
 
 
-def evaluate(net, images, labels, batch_size=256) -> float:
+def evaluate(net, images, labels) -> float:
     """Top-1 accuracy on the given arrays."""
     if images.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits = net.predict_logits(images, batch_size=batch_size)
+    logits = net.predict_logits(images)
     return float((logits.argmax(axis=1) == labels).mean())
 
 
@@ -155,7 +155,7 @@ def train(net, train_images, train_labels, test_images, test_labels,
                     idx = order[start:start + config.batch_size]
                     # a non-finite loss runs no backward, so no layer updates
                     loss = net.loss_and_grads(
-                        train_images[idx], train_labels[idx], loss=config.loss, train=True,
+                        train_images[idx], train_labels[idx], loss=config.loss,
                         update=lambda layer: _sgd_update(layer, velocity[layer], lr, config))
                     if not np.isfinite(loss):
                         raise TrainingDiverged(epoch, bi, loss)

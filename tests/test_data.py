@@ -1,8 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from prunekit import data
 from prunekit.data import (
     CIFAR_RECORD_BYTES,
     CIFAR_TEST_FILE,
@@ -120,12 +122,41 @@ class TestCifarParsing:
         with pytest.raises(DataFormatError, match="data_batch_5"):
             load_cifar10(tmp_path)
 
+    def test_load_peaks_under_twice_its_arrays(self, tmp_path):
+        """Each file is converted into its slice of one array and the std
+        is taken a chunk of samples at a time, so the load holds little
+        beyond what it returns; a float64 copy of the training images alone
+        would be twice their bytes."""
+        write_fake_cifar(tmp_path, per_batch=1000)
+        tracemalloc.start()
+        try:
+            train, test = load_cifar10(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(train) == 5000 and len(test) == 1000
+        returned = sum(a.nbytes for a in (train.images, train.labels, test.images, test.labels))
+        assert peak < 2 * returned
+
     @pytest.mark.skipif(not os.path.isdir(os.environ.get("CIFAR10_DIR", "")),
                         reason="set CIFAR10_DIR to a directory of CIFAR-10 binary batches")
     def test_real_cifar_split_sizes(self):
         train, test = load_cifar10(os.environ["CIFAR10_DIR"])
         assert len(train) == 50000
         assert len(test) == 10000
+
+
+class TestStandardize:
+    @pytest.mark.parametrize("n,channels,side", [(2500, 3, 8), (1024, 2, 5), (300, 1, 16),
+                                                 (7, 5, 4)])
+    def test_chunked_std_has_numpys_bits(self, n, channels, side):
+        """Past one chunk of samples, and with one channel, where NumPy
+        sums the whole array as one run."""
+        rng = np.random.default_rng(n + channels)
+        x = (rng.normal(size=(n, channels, side, side)) * 2.5 + 0.7).astype(np.float32)
+        mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+        want = x.std(axis=(0, 2, 3), dtype=np.float64)
+        assert data._channel_std(x, mean).tobytes() == want.tobytes()
 
 
 class TestSyntheticBlobs:

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,3 +129,23 @@ class TestCsvDump:
         dump_similarity_csv(path, SimilarityMatrix(np.array([[1.0, 0.5], [0.5, 1.0]])))
         assert path.read_bytes() == (b"channel,0,1\r\n0,1.000000000,0.500000000\r\n"
                                      b"1,0.500000000,1.000000000\r\n")
+
+    @pytest.mark.parametrize("channels", [1, 64])
+    def test_bytes_equal_a_csv_writer(self, tmp_path, channels):
+        """The file is what ``csv.writer`` makes of the header and of each
+        row's entries formatted one at a time, NaN and -0.0 included."""
+        rng = np.random.default_rng(channels)
+        entries = rng.uniform(-1.0, 1.0, size=(channels, channels))
+        if channels > 1:
+            entries[3, 5] = np.nan
+            entries[5, 3] = -0.0
+            entries[7, 2] = -1e-12  # prints as -0.000000000
+            entries[2, 7] = np.inf
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["channel"] + [str(j) for j in range(channels)])
+        for i in range(channels):
+            writer.writerow([str(i)] + [f"{v:.9f}" for v in entries[i]])
+        path = tmp_path / "sim.csv"
+        dump_similarity_csv(path, SimilarityMatrix(entries))
+        assert path.read_bytes() == buf.getvalue().encode()

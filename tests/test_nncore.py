@@ -40,6 +40,11 @@ from prunekit.util import derive_seed
 train_module = importlib.import_module("prunekit.nncore.train")
 
 
+def kaiming(rng, shape, dtype):
+    """One weight drawn from ``rng`` as ``Network`` draws each layer's."""
+    return layers.kaiming_normal([(rng, shape)], dtype)[0]
+
+
 def small_conv_template(**kwargs):
     defs = [
         LayerDef("conv", out_channels=2, kernel=3, padding=1),
@@ -140,24 +145,29 @@ class TestKernels:
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_im2col_layout_and_col2im_adjoint(self, stride, padding):
+        """The pair works on the padded layout, so the test pads the input
+        and crops the gradient itself, as Conv does."""
         rng = np.random.default_rng(stride * 10 + padding)
         n, c, h, w, kh, kw = 2, 3, 5, 6, 3, 2
         x = rng.normal(size=(n, c, h, w))
-        cols, oh, ow = im2col(x, kh, kw, stride, padding)
-        assert cols.shape == (c * kh * kw, oh * ow * n)
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        cols, oh, ow = im2col(xp, kh, kw, stride)
+        assert cols.shape == (c * kh * kw, oh * ow * n)
         grid = cols.reshape(c, kh, kw, oh, ow, n)
         for ci, i, j, yi, xi, ni in np.ndindex(grid.shape):
             assert grid[ci, i, j, yi, xi, ni] == xp[ni, ci, yi * stride + i, xi * stride + j]
         y = rng.normal(size=cols.shape)
-        back = col2im(y, x.shape, kh, kw, stride, padding)
-        assert back.shape == x.shape
-        assert np.sum(cols * y) == pytest.approx(np.sum(x * back), rel=1e-12)
+        back = col2im(y, xp.shape, kh, kw, stride)
+        assert back.shape == xp.shape
+        assert np.sum(cols * y) == pytest.approx(np.sum(xp * back), rel=1e-12)
+        cropped = back[:, :, padding:padding + h, padding:padding + w]
+        assert cropped.shape == x.shape
+        assert np.sum(cols * y) == pytest.approx(np.sum(x * cropped), rel=1e-12)
 
     @pytest.mark.parametrize("stride,padding,bias", [(1, 1, True), (2, 0, False), (2, 1, True)])
     def test_conv_backward_matches_loop_oracle(self, stride, padding, bias):
         rng = np.random.default_rng(stride + 3 * padding)
-        conv = Conv(3, 4, (3, 3), stride, padding, bias, rng, np.float64)
+        conv = Conv(kaiming(rng, (4, 3, 3, 3), np.float64), bias, stride, padding)
         if bias:
             conv.bias[...] = rng.normal(size=4)
         x = rng.normal(size=(2, 3, 6, 5))
@@ -243,7 +253,7 @@ class TestEvalConvBands:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_matches_loop_oracle(self, stride, padding, monkeypatch):
         rng = np.random.default_rng(40 + stride * 10 + padding)
-        conv = Conv(3, 4, (3, 3), stride, padding, True, rng, np.float64)
+        conv = Conv(kaiming(rng, (4, 3, 3, 3), np.float64), True, stride, padding)
         conv.bias[...] = rng.normal(size=4)
         x = rng.normal(size=(2, 3, 11, 6))
         out_h = (11 + 2 * padding - 3) // stride + 1
@@ -261,7 +271,7 @@ class TestEvalConvBands:
 
     def test_eval_and_train_forward_agree(self, monkeypatch):
         rng = np.random.default_rng(50)
-        conv = Conv(16, 4, (3, 3), 1, 1, True, rng, np.float64)
+        conv = Conv(kaiming(rng, (4, 16, 3, 3), np.float64), True, 1, 1)
         conv.bias[...] = rng.normal(size=4)
         # at the default budget: two full bands and a half one
         band = Conv.BAND_BYTES // (16 * 9 * 20 * 8 * 8)
@@ -295,7 +305,7 @@ class TestTrainConvBands:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_rebuilt_columns_match_oracle_and_one_band(self, stride, padding, monkeypatch):
         rng = np.random.default_rng(60 + stride * 10 + padding)
-        conv = Conv(3, 4, (3, 3), stride, padding, True, rng, np.float64)
+        conv = Conv(kaiming(rng, (4, 3, 3, 3), np.float64), True, stride, padding)
         conv.bias[...] = rng.normal(size=4)
         # BLAS may sum a tail narrower than its kernel in another order, so
         # at batch 16 every band, like each of vgg16's, spans a multiple of
@@ -337,7 +347,7 @@ class TestTrainConvBands:
 
     def test_multi_band_forward_holds_no_columns(self, monkeypatch):
         rng = np.random.default_rng(70)
-        conv = Conv(16, 8, (3, 3), 1, 1, True, rng, np.float32)
+        conv = Conv(kaiming(rng, (8, 16, 3, 3), np.float32), True, 1, 1)
         x = rng.normal(size=(8, 16, 16, 16)).astype(np.float32)
         col_bytes = 16 * 9 * 16 * 16 * 8 * 4
         monkeypatch.setattr(Conv, "BAND_BYTES", col_bytes // 8)
@@ -357,7 +367,7 @@ class TestTrainConvBands:
         # float32 at batch 32, as in a vgg training step; the float64 case is
         # test_rebuilt_columns_match_oracle_and_one_band
         rng = np.random.default_rng(80 + stride * 10 + padding)
-        conv = Conv(16, 32, (3, 3), stride, padding, True, rng, np.float32)
+        conv = Conv(kaiming(rng, (32, 16, 3, 3), np.float32), True, stride, padding)
         x = batch_innermost(rng.normal(size=(32, 16, 16, 16)).astype(np.float32))
         dout = batch_innermost(
             rng.normal(size=conv.forward(x, train=False).shape).astype(np.float32))
@@ -379,7 +389,7 @@ class TestTrainConvBands:
 
     def test_offset_backward_holds_a_fraction_of_the_columns(self, monkeypatch):
         rng = np.random.default_rng(90)
-        conv = Conv(16, 16, (3, 3), 1, 1, True, rng, np.float32)
+        conv = Conv(kaiming(rng, (16, 16, 3, 3), np.float32), True, 1, 1)
         x = batch_innermost(rng.normal(size=(16, 16, 16, 16)).astype(np.float32))
         dout = batch_innermost(rng.normal(size=x.shape).astype(np.float32))
         col_bytes = 16 * 9 * 16 * 16 * 16 * 4
@@ -453,7 +463,8 @@ class TestFirstLayerBackward:
         net.forward(x, train=True)
         assert net.backward(np.ones((3, 3)) / 3) is None
         # only the second conv scatters back, onto its (3, 3, 5, 5) input
-        assert scattered == [(3, 3, 5, 5)]
+        # padded to (3, 3, 7, 7)
+        assert scattered == [(3, 3, 7, 7)]
         assert gradient_check(net, x, y) < 1e-4
 
     @pytest.mark.parametrize("first", ["batchnorm", "activation", "pool", "fc"])
@@ -494,7 +505,8 @@ def batch_innermost(a):
 
 
 def make_conv(stride, padding):
-    conv = Conv(3, 4, (3, 3), stride, padding, True, np.random.default_rng(1), np.float32)
+    weight = kaiming(np.random.default_rng(1), (4, 3, 3, 3), np.float32)
+    conv = Conv(weight, True, stride, padding)
     conv.bias[...] = np.random.default_rng(2).normal(size=4)
     return conv
 
@@ -517,7 +529,7 @@ LAYOUT_CASES = {
     "relu": (ReLU, (2, 3, 4, 5)),
     "maxpool-tiling": (lambda: MaxPool(2, 2), (2, 3, 4, 6)),
     "maxpool-overlapping": (lambda: MaxPool(3, 2), (2, 3, 5, 7)),
-    "linear-4d": (lambda: Linear(3 * 4 * 5, 6, True, np.random.default_rng(4), np.float32),
+    "linear-4d": (lambda: Linear(kaiming(np.random.default_rng(4), (6, 60), np.float32), True),
                   (2, 3, 4, 5)),
 }
 
@@ -622,7 +634,7 @@ class TestEvaluate:
 
     def test_two_of_three_correct(self):
         class Stub:
-            def predict_logits(self, x, batch_size=256):
+            def predict_logits(self, x):
                 return np.array([[1.0, 0], [1.0, 0], [0, 1.0]])
         acc = evaluate(Stub(), np.zeros((3, 1, 1, 1)), np.array([0, 0, 0]))
         assert acc == pytest.approx(2 / 3)
@@ -767,7 +779,7 @@ class TestTrain:
 
     def test_update_allocates_one_weight_sized_temporary(self):
         rng = np.random.default_rng(0)
-        conv = Conv(512, 512, (3, 3), 1, 1, True, rng, np.float32)
+        conv = Conv(kaiming(rng, (512, 512, 3, 3), np.float32), True, 1, 1)
         conv.d_weight = rng.standard_normal(conv.weight.shape, dtype=np.float32)
         conv.d_bias = rng.standard_normal(conv.bias.shape, dtype=np.float32)
         velocity = {k: np.zeros_like(p) for k, p in conv.params().items()}
@@ -837,7 +849,7 @@ class TestTrain:
         zeros of both signs."""
         rng = np.random.default_rng(0)
         cfg = TrainConfig(weight_decay=0.0)  # a zero gradient is a zero step
-        lazy = Conv(4, 8, (3, 3), 1, 1, True, rng, np.float32)
+        lazy = Conv(kaiming(rng, (8, 4, 3, 3), np.float32), True, 1, 1)
         eager = {k: p.copy() for k, p in lazy.params().items()}
         lazy_v, eager_v = {}, {k: np.zeros_like(p) for k, p in eager.items()}
         for _ in range(2):
@@ -971,18 +983,24 @@ class TestDeterministicInit:
             "c0ee2349c063c9c0741dfe4a818028545353967e7fcfa605b1dffe24ac564377")
 
     def test_a_layer_built_alone_draws_the_networks_weight(self):
+        """Each weight drawn alone from its layer's stream, as a test builds a
+        layer by hand, has the bits the network's one draw gives it."""
         t = fc_template()
         net = Network(t, seed=4)
+        drawn = 0
         for idx, spec in enumerate(t.layers):
-            rng = np.random.default_rng(derive_seed(4, "init", idx))
             if spec.kind == archspec.KIND_CONV:
-                alone = Conv(spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
-                             spec.padding, spec.bias, rng, np.float32)
+                shape = (spec.out_channels, spec.in_channels, *spec.kernel)
             elif spec.kind in (archspec.KIND_FC, archspec.KIND_HEAD):
-                alone = Linear(spec.in_channels, spec.out_channels, spec.bias, rng, np.float32)
+                shape = (spec.out_channels, spec.in_channels)
             else:
                 continue
-            assert np.array_equal(alone.weight, net.layers[idx].weight)
+            rng = np.random.default_rng(derive_seed(4, "init", idx))
+            alone = kaiming(rng, shape, np.float32)
+            assert alone.dtype == np.float32
+            assert np.array_equal(alone, net.layers[idx].weight)
+            drawn += 1
+        assert drawn >= 2
 
     @pytest.mark.parametrize("template", [
         archspec.vgg16_cifar(10), archspec.tiny4(), fc_template()], ids=lambda t: t.name)
@@ -1050,7 +1068,7 @@ def conv_run(shape, batch, train):
     the parameter gradients and every layer's input gradient."""
     in_c, out_c, side = shape
     rng = np.random.default_rng(in_c * 1000 + out_c)
-    conv = Conv(in_c, out_c, (3, 3), 1, 1, True, rng, np.float32)
+    conv = Conv(kaiming(rng, (out_c, in_c, 3, 3), np.float32), True, 1, 1)
     conv.bias[...] = rng.normal(size=out_c)
     block = [conv, None, ReLU(), MaxPool(2, 2)]
     x = batch_innermost(rng.standard_normal((batch, in_c, side, side), dtype=np.float32))
@@ -1269,7 +1287,7 @@ class TestChannelBands:
         window = next(w for i, j, w in layers._windows(3, 3, 1, (0, side), side) if (i, j) == (2, 1))
         bias, gamma, beta = normal(out_c), normal(out_c), normal(out_c)
         rows = dy.transpose(1, 2, 3, 0).reshape(out_c, -1)
-        conv = Conv(in_c, out_c, (3, 3), 1, 1, True, rng, np.float32)
+        conv = Conv(kaiming(rng, (out_c, in_c, 3, 3), np.float32), True, 1, 1)
         start = {k: p.copy() for k, p in conv.params().items()}
         grads = [(normal(out_c, in_c, 3, 3), normal(out_c)),
                  (normal(3, 3, out_c, in_c).transpose(2, 3, 0, 1), normal(out_c))]
@@ -1327,8 +1345,8 @@ class TestChannelBands:
 
         return {
             "pad": lambda: [layers._pad(x.transpose(1, 2, 3, 0), 1)],
-            "im2col": lambda: [im2col(x, 3, 3, 1, 1, rows=(1, 2))[0]],
-            "col2im": lambda: [col2im(dcols, x.shape, 3, 3, 1, 1)],
+            "im2col": lambda: [im2col(xpad.transpose(3, 0, 1, 2), 3, 3, 1, rows=(1, 2))[0]],
+            "col2im": lambda: [col2im(dcols, xpad.transpose(3, 0, 1, 2).shape, 3, 3, 1)],
             "offset windows": offset_windows,
             "bias": bias_and_its_gradient,
             "batchnorm": batchnorm,

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import importlib.util
 import json
@@ -875,19 +874,6 @@ def _disk_full(*args):
     raise OSError("disk full")
 
 
-class _TornWriter:
-    """A csv writer that runs out of disk at its second row."""
-
-    def __init__(self, writer):
-        self.writer, self.rows = writer, 0
-
-    def writerow(self, row):
-        if self.rows == 1:
-            _disk_full()
-        self.rows += 1
-        self.writer.writerow(row)
-
-
 class TestSimilarityCsvs:
     def coarse_run(self, out_dir):
         run = pipeline.ExperimentRun(desk_experiment_config(out_dir))
@@ -916,21 +902,22 @@ class TestSimilarityCsvs:
         assert len(calls) == 1 and trained == []
         assert_same_run(config, before)
 
-    @pytest.mark.parametrize("fault", ["row", "fsync"])
+    @pytest.mark.parametrize("fault", ["write", "fsync"])
     def test_an_error_in_the_third_csv_leaves_no_torn_file(self, tmp_path, monkeypatch, fault):
+        """The third CSV fails before its file is opened, or at its fsync."""
         clean, net = self.coarse_run(tmp_path / "clean")
         clean.stage_coarse(net)
         expected = self.csvs(clean)
         assert len(expected) == 4
 
         run, net = self.coarse_run(tmp_path / "cut")
-        written, dump, writer = [], featstats.dump_similarity_csv, csv.writer
+        written, dump = [], featstats.dump_similarity_csv
 
         def third_fails(path, sim):
             written.append(os.path.basename(path))
             with monkeypatch.context() as m:
-                if len(written) == 3 and fault == "row":
-                    m.setattr(featstats.csv, "writer", lambda fh: _TornWriter(writer(fh)))
+                if len(written) == 3 and fault == "write":
+                    m.setattr(featstats, "write_text_atomic", _disk_full)
                 elif len(written) == 3:
                     m.setattr(os, "fsync", _disk_full)
                 dump(path, sim)
