@@ -105,11 +105,10 @@ def _channel_std(images, mean):
     total = np.zeros(c)
     block = np.empty((min(n, _STD_CHUNK), c, h, w))
     for start in range(0, n, _STD_CHUNK):
-        chunk = images[start:start + _STD_CHUNK]
-        # cast first, then subtract in float64: a mixed subtraction would
-        # also make a float64 copy of the chunk
-        dev = block[:chunk.shape[0]]
-        dev[...] = chunk
+        # cast into the block, then subtract in float64: a mixed subtraction
+        # makes a float64 copy of the chunk besides its result
+        dev = block[:min(_STD_CHUNK, n - start)]
+        dev[...] = images[start:start + _STD_CHUNK]
         dev -= mean[:, None, None]
         sums = np.square(dev, out=dev).sum(axis=(2, 3))
         sums[0] += total
