@@ -1002,6 +1002,19 @@ class TestDeterministicInit:
             drawn += 1
         assert drawn >= 2
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_layer_takes_its_bias_from_its_weight(self, dtype):
+        rng = np.random.default_rng(0)
+        for layer, bias in ((Conv(kaiming(rng, (5, 3, 3, 3), dtype), True, 1, 1), True),
+                            (Linear(kaiming(rng, (7, 12), dtype), True), True),
+                            (Conv(kaiming(rng, (5, 3, 3, 3), dtype), False, 1, 1), False)):
+            assert layer.weight.dtype == dtype
+            if bias:
+                assert layer.bias.dtype == dtype
+                assert np.array_equal(layer.bias, np.zeros(layer.weight.shape[0]))
+            else:
+                assert layer.bias is None
+
     @pytest.mark.parametrize("template", [
         archspec.vgg16_cifar(10), archspec.tiny4(), fc_template()], ids=lambda t: t.name)
     def test_split_draws_give_the_serial_bits(self, template, gemm_split):
